@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from hppcheck.matroid import Matroid
+from hppcheck.matroid import IsoTable, Matroid
 
 
 def uniform(rank: int, m: int, name: str | None = None) -> Matroid:
@@ -167,6 +167,22 @@ def entry(name: str) -> CatalogEntry:
 def catalog() -> dict[str, CatalogEntry]:
     """All named entries, in declaration order."""
     return {name: entry(name) for name in CATALOG_NAMES}
+
+
+def catalog_index() -> IsoTable:
+    """Every entry's loop-free core and the core's dual, for isomorphism
+    lookups.
+
+    A row's value is (entry name, dual?, core): the row matches matroids
+    isomorphic to the core (dual False) or to its dual (dual True).  Rows
+    follow CATALOG_NAMES, the direct row of an entry before its dual row.
+    """
+    index = IsoTable()
+    for name in CATALOG_NAMES:
+        core, _ = entry(name).matroid.strip_absent()
+        index.add(core, (name, False, core))
+        index.add(core.dual(), (name, True, core))
+    return index
 
 
 def resolve_name(name: str) -> Matroid:

@@ -148,7 +148,7 @@ def certificate_from_text(text: str, source: str = "<string>") -> SosCertificate
         try:
             w = _parse_fraction(item["weight"])
             q = parse_polynomial(item["poly"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise CertificateParseError(
                 f"{source}: term {i + 1}: {exc}") from exc
         if w <= 0:

@@ -10,7 +10,7 @@ nonnegative Rayleigh difference.  The checker runs that recursion with:
   * exact certificate verification (via the certificate store) or exact
     re-verified SOS search for the pair condition;
   * isomorphism resolution against the catalog, including duals (the class
-    is closed under duality);
+    is closed under duality), through one catalog index;
   * a falsifier producing exact rational counterexamples in refute mode.
 
 PROVED / REFUTED / INCONCLUSIVE are first-class verdicts; sampling never
@@ -27,9 +27,9 @@ from typing import Any
 
 from hppcheck import sampler as sampler_mod
 from hppcheck import sos_search as sos_mod
-from hppcheck.catalog import CATALOG_NAMES, catalog, entry
+from hppcheck.catalog import catalog_index, entry
 from hppcheck.certificate import CertificateStore, SosCertificate, verify
-from hppcheck.matroid import Matroid
+from hppcheck.matroid import IsoTable, Matroid
 from hppcheck.polynomial import format_polynomial
 from hppcheck.rayleigh import rayleigh_diff_multiaffine
 
@@ -41,6 +41,8 @@ _PROV_SMALL = "imported fact: every matroid with at most six elements has the HP
 _PROV_RANK = "imported fact: every matroid with rank or corank at most two has the HPP"
 _PROV_KNOWN = "imported fact: this catalog matroid is known to have the HPP"
 _PROV_DUAL = "imported fact: the HPP class is closed under duality"
+_PROV_MONOMIAL = ("a matroid with a single basis has a monomial basis "
+                  "polynomial, which is strongly Rayleigh")
 _LOOP_NOTE = ("variables absent from the polynomial (loops) are treated as "
               "allowed: their Rayleigh differences vanish identically")
 
@@ -134,55 +136,57 @@ def _describe_justification(just: dict[str, Any]) -> str:
 
 
 class StrongRayleighChecker:
-    """Runs the recursion with memoization keyed on canonical minor keys."""
+    """Runs the recursion, memoized over isomorphism classes of minors.
+
+    The memo, the cycle guard and the catalog index are `IsoTable`s:
+    isomorphic minors of any size share one report tree, and every catalog
+    match (known facts, duals, certificates) filters one lookup in the
+    index built here.
+    """
 
     def __init__(self, store: CertificateStore, options: CheckOptions | None = None):
         self.store = store
         self.options = options or CheckOptions()
-        self._memo: dict[tuple, tuple[Matroid, CheckReport]] = {}
-        self._active: set[tuple] = set()
+        # value (M, report) per checked isomorphism class
+        self._memo = IsoTable()
+        # matroids whose check is in progress
+        self._active = IsoTable()
         self._verified_entry_pairs: dict[tuple[str, tuple[int, int]], bool] = {}
-        # catalog cores: entry name -> (loop-free matroid, known_hpp)
-        self._cores: dict[str, Matroid] = {}
-        for name in CATALOG_NAMES:
-            ent = entry(name)
-            core, _ = ent.matroid.strip_absent()
-            self._cores[name] = core
+        self._index = catalog_index()
 
     # -- public API -----------------------------------------------------
 
     def check(self, M: Matroid, name: str | None = None) -> CheckReport:
         report = self._check(M, name)
-        assert report is not None
+        if report is None:
+            raise RuntimeError("internal error: the top-level check met its "
+                               "own cycle guard")
         return report
 
     # -- internals --------------------------------------------------------
 
     def _check(self, M: Matroid, name: str | None = None) -> CheckReport | None:
-        key = M.canonical_key()
-        hit = self._memo.get(key)
-        if hit is not None:
-            rep_matroid, report = hit
+        for (rep_matroid, report), perm in self._memo.lookup(M):
             if rep_matroid == M:
                 return report
             # same isomorphism class, different labels: reuse the stored
             # tree under the witnessing permutation (recorded for replay)
-            perm = M.is_isomorphic(rep_matroid)
-            assert perm is not None, "canonical keys disagree with isomorphism"
             return CheckReport(
                 verdict=report.verdict, matroid_name=self._display_name(M, name),
                 m=M.m, rank=M.rank, num_bases=M.num_bases(),
                 justification={"kind": "isomorphic", "perm": list(perm),
                                "inner": report})
-        if key in self._active:
+        # a matroid isomorphic to M is being checked further up (a dual_of
+        # resolution leading back to its own class)
+        if any(self._active.lookup(M)):
             return None
-        self._active.add(key)
+        self._active.add(M, None)
         try:
             report = self._check_core(M, name)
         finally:
-            self._active.discard(key)
+            self._active.remove(M)
         if report is not None:
-            self._memo[key] = (M, report)
+            self._memo.add(M, (M, report))
         return report
 
     def _display_name(self, M: Matroid, name: str | None) -> str:
@@ -194,6 +198,14 @@ class StrongRayleighChecker:
 
     def _check_core(self, M: Matroid, name: str | None) -> CheckReport | None:
         disp = self._display_name(M, name)
+        if M.num_bases() == 1:
+            # checked before the loop/coloop reduction, which would leave
+            # an empty ground set
+            return CheckReport(
+                verdict=PROVED, matroid_name=disp, m=M.m, rank=M.rank,
+                num_bases=M.num_bases(),
+                justification={"kind": "base_fact", "fact": "single_basis",
+                               "provenance": _PROV_MONOMIAL})
 
         loops = M.loops()
         coloops = M.coloops()
@@ -241,33 +253,19 @@ class StrongRayleighChecker:
         if M.rank <= 2 or M.corank() <= 2:
             return report({"kind": "base_fact", "fact": "rank_or_corank_at_most_2",
                            "provenance": _PROV_RANK})
-        for ename in CATALOG_NAMES:
-            ent = entry(ename)
-            if not ent.known_hpp:
-                continue
-            core = self._cores[ename]
-            perm = M.is_isomorphic(core)
-            if perm is not None:
+        for (ename, dual, _), perm in self._index.lookup(M):
+            if entry(ename).known_hpp:
                 return report({"kind": "known_hpp", "catalog": ename,
-                               "perm": list(perm), "dual": False,
-                               "provenance": _PROV_KNOWN})
-            perm = M.is_isomorphic(core.dual())
-            if perm is not None:
-                return report({"kind": "known_hpp", "catalog": ename,
-                               "perm": list(perm), "dual": True,
-                               "provenance": _PROV_KNOWN + "; " + _PROV_DUAL})
+                               "perm": list(perm), "dual": dual,
+                               "provenance": (_PROV_KNOWN + "; " + _PROV_DUAL
+                                              if dual else _PROV_KNOWN)})
         return None
 
     def _dual_resolution(self, M: Matroid, disp: str) -> CheckReport | None:
         """M isomorphic to the dual of a certificated catalog core."""
-        for ename in CATALOG_NAMES:
-            if not self.store.pairs_for(ename) and entry(ename).cert_pair is None:
-                continue
-            core = self._cores[ename]
-            if (M.m, M.rank) != (core.m, core.m - core.rank):
-                continue
-            perm = M.is_isomorphic(core.dual())
-            if perm is None:
+        for (ename, dual, core), perm in self._index.lookup(M):
+            if not dual or (not self.store.pairs_for(ename)
+                            and entry(ename).cert_pair is None):
                 continue
             inner = self._check(core)
             if inner is None or inner.verdict != PROVED:
@@ -333,17 +331,6 @@ class StrongRayleighChecker:
 
     # -- pair nonnegativity -------------------------------------------------
 
-    def _entry_isomorphism(self, M: Matroid) -> tuple[str, tuple[int, ...]] | None:
-        """Catalog entry whose loop-free core is isomorphic to M."""
-        for ename in CATALOG_NAMES:
-            if not self.store.pairs_for(ename):
-                continue
-            core = self._cores[ename]
-            perm = M.is_isomorphic(core)
-            if perm is not None:
-                return ename, perm
-        return None
-
     def _verify_entry_pair(self, ename: str, pair: tuple[int, int]) -> bool:
         key = (ename, tuple(sorted(pair)))
         if key not in self._verified_entry_pairs:
@@ -371,11 +358,13 @@ class StrongRayleighChecker:
     def _pair_evidence(self, M: Matroid,
                        only_pair: tuple[int, int] | None = None) -> dict | None:
         if self.options.use_store:
-            resolved = self._entry_isomorphism(M)
+            # the first catalog entry with store pairs whose core is M's class
+            resolved = next(((ename, perm) for (ename, dual, _), perm
+                             in self._index.lookup(M)
+                             if not dual and self.store.pairs_for(ename)), None)
             if resolved is not None:
                 ename, perm = resolved
                 ent = entry(ename)
-                core = self._cores[ename]
                 # strip map of the entry: core label -> entry label
                 _, strip_map = ent.matroid.strip_absent()
                 inv_strip = {new: old for old, new in strip_map.items()}
@@ -490,17 +479,12 @@ def resolve_via_isomorphism(M: Matroid) -> tuple[str, tuple[int, ...]] | None:
 
     The permutation maps elements of M onto the entry's loop-free core.
     """
-    for ename in CATALOG_NAMES:
-        core, _ = entry(ename).matroid.strip_absent()
-        perm = M.is_isomorphic(core)
-        if perm is not None:
-            return ename, perm
-    for ename in CATALOG_NAMES:
-        core, _ = entry(ename).matroid.strip_absent()
-        perm = M.is_isomorphic(core.dual())
-        if perm is not None:
-            return ename + "*", perm
-    return None
+    # a stable sort on the dual flag puts the direct rows first
+    matches = sorted(catalog_index().lookup(M), key=lambda hit: hit[0][1])
+    if not matches:
+        return None
+    (ename, dual, _), perm = matches[0]
+    return (ename + "*" if dual else ename), perm
 
 
 # -- replay ------------------------------------------------------------------
@@ -545,6 +529,8 @@ def replay_report(report: CheckReport, M: Matroid,
             return report.verdict == PROVED and M.m <= 6
         if just["fact"] == "rank_or_corank_at_most_2":
             return report.verdict == PROVED and (M.rank <= 2 or M.corank() <= 2)
+        if just["fact"] == "single_basis":
+            return report.verdict == PROVED and M.num_bases() == 1
         return False
 
     if kind == "known_hpp":

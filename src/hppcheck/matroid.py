@@ -7,16 +7,18 @@ elements to 1..m-1 preserving order; contracting a loop or deleting a
 coloop raises rather than silently adjusting rank.
 
 Also provides isomorphism testing (lexicographically least permutation),
-a canonical key for memoization, the basis-generating polynomial, the
-labeling search that matches a matroid against a target Rayleigh
-difference, and a structured text (JSON) file format.
+an isomorphism lookup table (`IsoTable`) that buckets matroids on a cheap
+invariant (`Matroid.canonical_key`) and confirms each match with
+`is_isomorphic`, the basis-generating polynomial, the labeling search that
+matches a matroid against a target Rayleigh difference, and a structured
+text (JSON) file format.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from hppcheck.polynomial import Polynomial
 from hppcheck.rayleigh import rayleigh_diff_multiaffine
@@ -296,13 +298,24 @@ class Matroid:
 
     # -- isomorphism -----------------------------------------------------------
 
-    def _invariant_fingerprint(self) -> tuple:
-        degs = sorted(self.element_degree(e) for e in range(1, self.m + 1))
-        pair_profile = sorted(
-            self._pair_degree(e, f)
-            for e, f in combinations(range(1, self.m + 1), 2))
-        return (self.m, self.rank, len(self._masks), tuple(degs),
-                tuple(pair_profile))
+    def canonical_key(self) -> tuple:
+        """Isomorphism invariant used as a bucket key.
+
+        The key is (m, rank, number of bases, sorted element degrees,
+        sorted pair degrees), where a degree counts the bases containing an
+        element or a pair.  Isomorphic matroids share it, but it is an
+        invariant, not a complete key: matroids that are not isomorphic can
+        share it too, so every match on it has to be confirmed with
+        `is_isomorphic`.
+        """
+        if self._canonical is None:
+            degs = sorted(self.element_degree(e) for e in range(1, self.m + 1))
+            pair_profile = sorted(
+                self._pair_degree(e, f)
+                for e, f in combinations(range(1, self.m + 1), 2))
+            self._canonical = (self.m, self.rank, len(self._masks),
+                               tuple(degs), tuple(pair_profile))
+        return self._canonical
 
     def is_isomorphic(self, other: Matroid) -> tuple[int, ...] | None:
         """Lexicographically least permutation mapping self onto other, or None.
@@ -310,10 +323,7 @@ class Matroid:
         The returned perm maps element i of self to perm[i-1] of other and
         sends bases onto bases exactly.
         """
-        if (self.m, self.rank, len(self._masks)) != \
-                (other.m, other.rank, len(other._masks)):
-            return None
-        if self._invariant_fingerprint() != other._invariant_fingerprint():
+        if self.canonical_key() != other.canonical_key():
             return None
         m = self.m
         assignment = [0] * m        # assignment[i] = image of element i+1
@@ -352,108 +362,32 @@ class Matroid:
             return tuple(assignment)
         return None
 
-    # -- canonical key ----------------------------------------------------------
 
-    def canonical_key(self) -> tuple:
-        """Key identifying the isomorphism class (exact for m <= 8).
+class IsoTable:
+    """Values stored under matroids and looked up by isomorphism class.
 
-        For m <= 8 this is the lexicographically least relabeled sorted
-        basis-mask tuple over all ground-set permutations; isomorphic
-        matroids share it.  For larger m the exact sorted basis tuple is
-        used instead, which is sound for memoization but only unifies
-        identically-labeled minors.
-        """
-        if self._canonical is None:
-            if self.m <= 8:
-                key = (self.m, self.rank, _min_basis_image(self))
-            else:
-                key = (self.m, self.rank, self._masks)
-            self._canonical = key
-        return self._canonical
-
-
-def _min_basis_image(M: Matroid) -> tuple[int, ...]:
-    """Branch-and-bound minimum of the sorted relabeled basis-mask tuple.
-
-    New labels are assigned one at a time; once the first k elements are
-    placed, the relabeled masks of bases inside them are final and smaller
-    than every remaining mask (2^k bounds them), so prefix comparison
-    against the incumbent prunes whole subtrees.
+    Entries are bucketed on `Matroid.canonical_key`, in insertion order;
+    `lookup` confirms each entry of a bucket with `is_isomorphic`.
     """
-    m = M.m
-    masks = M.basis_masks()
 
-    best: list[int] | None = None
+    def __init__(self):
+        self._buckets: dict[tuple, list[tuple[Matroid, Any]]] = {}
 
-    # chosen[k] = old element index (0-based) receiving new label k+1
-    def relabel_full(order: list[int]) -> list[int]:
-        pos = [0] * m
-        for new, old in enumerate(order):
-            pos[old] = new
-        out = []
-        for mask in masks:
-            v = 0
-            for i in range(m):
-                if mask >> i & 1:
-                    v |= 1 << pos[i]
-            out.append(v)
-        out.sort()
-        return out
+    def add(self, M: Matroid, value: Any) -> None:
+        self._buckets.setdefault(M.canonical_key(), []).append((M, value))
 
-    def descend(order: list[int], remaining: list[int], prefix: list[int]) -> None:
-        nonlocal best
-        k = len(order)
-        if best is not None:
-            # prefix entries are final; compare against incumbent
-            for i, v in enumerate(prefix):
-                if v < best[i]:
-                    break
-                if v > best[i]:
-                    return
-            else:
-                # equal so far; if the incumbent has more small masks, any
-                # completion here is larger
-                if len(prefix) < len(best) and k < m and best[len(prefix)] < (1 << k):
-                    return
-        if k == m:
-            cand = relabel_full(order)
-            if best is None or cand < best:
-                best = cand
-            return
-        assigned_mask = 0
-        for old in order:
-            assigned_mask |= 1 << old
-        for old in remaining:
-            newbit = 1 << old
-            inside = assigned_mask | newbit
-            completed = []
-            pos = {o: i for i, o in enumerate(order)}
-            pos[old] = k
-            for mask in masks:
-                if mask & newbit and mask & ~inside == 0:
-                    v = 0
-                    for i in range(m):
-                        if mask >> i & 1:
-                            v |= 1 << pos[i]
-                    completed.append(v)
-            completed.sort()
-            descend(order + [old], [o for o in remaining if o != old],
-                    _merge_sorted(prefix, completed))
+    def remove(self, M: Matroid) -> None:
+        """Drop the entries stored under this very matroid object."""
+        bucket = self._buckets[M.canonical_key()]
+        bucket[:] = [(N, value) for N, value in bucket if N is not M]
 
-    # seed the incumbent with the identity labeling for early pruning
-    best = relabel_full(list(range(m)))
-    descend([], list(range(m)), [])
-    assert best is not None
-    return tuple(best)
-
-
-def _merge_sorted(a: list[int], b: list[int]) -> list[int]:
-    if not b:
-        return a
-    out = list(a)
-    out.extend(b)
-    # b's entries all exceed a's (higher top bit), so appending keeps order
-    return out
+    def lookup(self, M: Matroid) -> Iterator[tuple[Any, tuple[int, ...]]]:
+        """(value, perm) of each entry isomorphic to M, in insertion order;
+        perm is the least permutation mapping M onto the entry's matroid."""
+        for N, value in self._buckets.get(M.canonical_key(), ()):
+            perm = M.is_isomorphic(N)
+            if perm is not None:
+                yield value, perm
 
 
 # -- labeling search -------------------------------------------------------
@@ -589,10 +523,14 @@ def matroid_from_text(text: str) -> Matroid:
     except (KeyError, TypeError, ValueError) as exc:
         raise MatroidParseError("matroid file needs integer 'm' and 'rank'") from exc
     name = payload.get("name")
-    if "bases" in payload:
-        return Matroid.from_bases(m, rank, payload["bases"], name=name)
-    if "nonbases" in payload:
-        return Matroid.from_nonbases(m, rank, payload["nonbases"], name=name)
+    try:
+        if "bases" in payload:
+            return Matroid.from_bases(m, rank, payload["bases"], name=name)
+        if "nonbases" in payload:
+            return Matroid.from_nonbases(m, rank, payload["nonbases"], name=name)
+    except TypeError as exc:
+        raise MatroidParseError("matroid file subsets must be lists of "
+                                f"integers: {exc}") from exc
     raise MatroidParseError("matroid file needs either 'bases' or 'nonbases'")
 
 

@@ -53,6 +53,16 @@ class TestBaseFacts:
         assert rep.verdict == PROVED
         assert rep.justification["fact"] == "rank_or_corank_at_most_2"
 
+    @pytest.mark.parametrize("M", [uniform(1, 1), uniform(3, 3),
+                                   Matroid(2, 0, [()]), Matroid(4, 2, [(1, 3)])],
+                             ids=["U_1_1", "U_3_3", "two_loops", "loops_and_coloops"])
+    def test_single_basis(self, M, store):
+        # only loops and coloops: the basis polynomial is a monomial
+        rep = StrongRayleighChecker(store, CheckOptions()).check(M)
+        assert rep.verdict == PROVED
+        assert rep.justification["fact"] == "single_basis"
+        assert replay_report(rep, M, store)
+
     def test_known_hpp_via_isomorphism(self, shared_checker):
         M = entry("F7m5").matroid.relabeled((3, 1, 2, 7, 6, 5, 4))
         rep = shared_checker.check(M)
@@ -199,6 +209,42 @@ class TestMemoization:
         u2 = r2.justification.get("inner") if \
             r2.justification.get("kind") == "isomorphic" else r2
         assert u1 is u2
+
+    def test_relabeled_np_reuses_the_tree(self, store):
+        checker = StrongRayleighChecker(store, CheckOptions())
+        nP = resolve_name("nP")
+        relabeled = nP.relabeled((2, 3, 1, 5, 6, 4, 8, 9, 7))
+        assert relabeled != nP
+        first = checker.check(nP, name="nP")
+        second = checker.check(relabeled)
+        assert second.justification["kind"] == "isomorphic"
+        assert second.justification["inner"] is first
+        assert replay_report(second, relabeled, store)
+
+    def test_shared_key_without_isomorphism_is_not_a_hit(self, store):
+        # a triangle of lines plus a pendant line, against a 4-cycle of lines
+        A = Matroid.from_nonbases(8, 3, [(1, 6, 8), (2, 3, 8), (2, 5, 7),
+                                         (3, 4, 6)])
+        B = Matroid.from_nonbases(8, 3, [(1, 6, 7), (2, 3, 4), (2, 5, 6),
+                                         (4, 7, 8)])
+        assert A.canonical_key() == B.canonical_key()
+        assert A.is_isomorphic(B) is None
+        checker = StrongRayleighChecker(store, CheckOptions())
+        rep_a = checker.check(A, name="A")
+        rep_b = checker.check(B, name="B")
+        assert rep_b.justification["kind"] != "isomorphic"
+        assert replay_report(rep_a, A, store)
+        assert replay_report(rep_b, B, store)
+
+    def test_relabeled_v8_proved_by_certificate(self, store):
+        # the cycle guard matches isomorphism classes: the dual_of route
+        # back to V8's own core is cut, so the certificate proves it
+        M = resolve_name("V8").relabeled((8, 7, 6, 5, 4, 3, 2, 1))
+        assert M != resolve_name("V8")
+        rep = StrongRayleighChecker(store, CheckOptions()).check(M)
+        assert rep.verdict == PROVED
+        assert rep.justification["kind"] == "certificate"
+        assert replay_report(rep, M, store)
 
     def test_deterministic_reports(self, store):
         a = StrongRayleighChecker(store, CheckOptions()).check(

@@ -124,6 +124,11 @@ class TestCheckHpp:
         assert payload["verdict"] == "PROVED"
         assert payload["matroid"] == "W3p"
 
+    def test_single_basis_proved(self, capsys):
+        code, out, _ = run(capsys, "check-hpp", "U_3_3")
+        assert code == 0
+        assert "verdict: PROVED" in out
+
     def test_custom_cert_dir_empty(self, capsys, tmp_path):
         code, out, _ = run(capsys, "check-hpp", "F7m4", "--certs",
                            str(tmp_path))
@@ -177,6 +182,21 @@ class TestUsageAndHelp:
 
     def test_unknown_matroid(self, capsys):
         assert run(capsys, "bases", "NOPE")[0] == 3
+
+    def test_null_basis_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "null.json"
+        path.write_text('{"m": 3, "rank": 1, "bases": [[1], null]}')
+        code, _, err = run(capsys, "bases", str(path))
+        assert code == 3
+        assert "error:" in err
+
+    def test_zero_denominator_weight_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "zero.cert"
+        path.write_text(json.dumps({
+            "target": "y3*y3", "terms": [{"weight": "1/0", "poly": "y3"}]}))
+        code, _, err = run(capsys, "verify-cert", str(path))
+        assert code == 3
+        assert "term 1" in err
 
     @pytest.mark.parametrize("cmd", ["catalog", "bases", "minor", "dual",
                                      "iso", "rdiff", "disc", "verify-cert",
