@@ -531,6 +531,8 @@ def matroid_from_text(text: str) -> Matroid:
     except TypeError as exc:
         raise MatroidParseError("matroid file subsets must be lists of "
                                 f"integers: {exc}") from exc
+    except ValueError as exc:
+        raise MatroidParseError(f"invalid matroid file: {exc}") from exc
     raise MatroidParseError("matroid file needs either 'bases' or 'nonbases'")
 
 

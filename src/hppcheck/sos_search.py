@@ -2,7 +2,8 @@
 
 Pipeline: build a Gram-matrix problem over a multiaffine monomial basis,
 run alternating projections between the coefficient-matching affine
-subspace and the PSD cone (eigendecompositions via cyclic Jacobi rotations
+subspace and the PSD cone (eigendecompositions via round-robin (Brent–Luk)
+Jacobi rotations, warm-started from the previous iterate's eigenbasis,
 written here, not a library call), then round the float Gram matrix to
 rationals, repair the affine constraints exactly, test positive
 semidefiniteness with an exact LDL^T factorization under symmetric
@@ -16,6 +17,7 @@ nothing about nonexistence.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -43,6 +45,19 @@ class GramProblem:
 
     def basis_polynomials(self) -> list[Polynomial]:
         return [Polynomial(self.target.m, {e: Fraction(1)}) for e in self.basis]
+
+    @functools.cached_property
+    def affine_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The groups as flat arrays for `_project_affine`: the flat Gram
+        index and group id of every entry, then each group's size and
+        target coefficient as floats."""
+        n = self.size
+        flat = [i * n + j for pairs, _ in self.groups for i, j in pairs]
+        group = [g for g, (pairs, _) in enumerate(self.groups) for _ in pairs]
+        size = [float(len(pairs)) for pairs, _ in self.groups]
+        rhs = [float(rhs) for _, rhs in self.groups]
+        return (np.array(flat, dtype=np.intp), np.array(group, dtype=np.intp),
+                np.array(size), np.array(rhs))
 
 
 def build_problem(target: Polynomial) -> GramProblem:
@@ -95,63 +110,95 @@ def build_problem(target: Polynomial) -> GramProblem:
     return GramProblem(target=target, basis=basis, groups=groups)
 
 
-# -- cyclic Jacobi eigendecomposition ------------------------------------------
+# -- round-robin Jacobi eigendecomposition -------------------------------------
+
+
+def _round_robin(n: int) -> list[list[tuple[int, int]]]:
+    """One Jacobi sweep in the Brent–Luk parallel (round-robin) ordering.
+
+    Returns the rounds as lists of pairs (p, q) with p < q: n - 1 rounds
+    of n/2 disjoint pairs for even n.  Odd n runs the schedule for n + 1
+    and drops the pairs holding the dummy index, which gives n rounds.
+    Every pair p < q occurs exactly once per sweep.
+    """
+    m = n + n % 2
+    rounds = []
+    for r in range(m - 1):
+        pairs = [(r, m - 1)] + [((r + k) % (m - 1), (r - k) % (m - 1))
+                                for k in range(1, m // 2)]
+        rounds.append(sorted((min(a, b), max(a, b)) for a, b in pairs
+                             if max(a, b) < n))
+    return rounds
+
+
+@functools.cache
+def _rotation_plan(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Per round of `_round_robin(n)`, flat indices into an n x n matrix:
+    the diagonal entries (p, p) and (q, q), the entries (p, q), the four
+    entries of each rotation block, and the two entries zeroed after it.
+    The arrays are read-only because every caller shares them."""
+    plan = []
+    for pairs in _round_robin(n):
+        p, q = np.array(pairs, dtype=np.intp).T
+        pp, qq, pq, qp = p * (n + 1), q * (n + 1), p * n + q, q * n + p
+        arrays = (pp, qq, pq, np.concatenate((pp, pq, qp, qq)),
+                  np.concatenate((pq, qp)))
+        for a in arrays:
+            a.flags.writeable = False
+        plan.append(arrays)
+    return tuple(plan)
 
 
 def jacobi_eigh(A: np.ndarray, tol: float = 1e-13,
                 max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix by Jacobi rotations.
 
+    Each sweep visits every pair (p, q) once in the round-robin
+    (Brent–Luk) ordering of `_round_robin`; the disjoint rotations of one
+    round are applied together as one block rotation J, A <- J^T A J.
     Returns (eigenvalues, Q) with A == Q @ diag(eigenvalues) @ Q.T up to
-    rotation roundoff.
+    rotation roundoff.  `search` warm-starts it: it passes Q.T @ G @ Q for
+    the previous iterate's eigenbasis Q, which is nearly diagonal, and
+    multiplies the returned rotation back onto Q.
     """
     A = np.array(A, dtype=float)
     n = A.shape[0]
-    Q = np.eye(n)
+    eye = np.eye(n)
     if n == 1:
-        return A.diagonal().copy(), Q
+        return A.diagonal().copy(), eye
     scale = max(1.0, float(np.abs(np.diagonal(A)).max()))
-    for _ in range(max_sweeps):
-        # direct off-diagonal norm; the difference-of-sums form cancels
-        # catastrophically once the matrix is nearly diagonal
-        off = float(np.sqrt(((A - np.diag(np.diagonal(A))) ** 2).sum()))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if tau == 0.0:
-                    t = 1.0
-                elif abs(tau) > 1e100:
-                    t = 1.0 / (2.0 * tau)
-                else:
-                    t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau))
+    plan = _rotation_plan(n)
+    Q = eye
+    with np.errstate(over="ignore"):
+        for _ in range(max_sweeps):
+            # direct off-diagonal norm; the difference-of-sums form cancels
+            # catastrophically once the matrix is nearly diagonal
+            off = float(np.sqrt(((A - np.diag(np.diagonal(A))) ** 2).sum()))
+            if off <= tol * scale:
+                break
+            for pp, qq, pq, rot, zero in plan:
+                apq = A.take(pq)
+                live = np.abs(apq) > 1e-300
+                if not live.all():
+                    if not live.any():
+                        continue
+                    # skip the pairs whose A[p, q] is negligible
+                    pp, qq, apq = pp[live], qq[live], apq[live]
+                    rot, zero = rot[np.tile(live, 4)], zero[np.tile(live, 2)]
+                tau = (A.take(qq) - A.take(pp)) / (2.0 * apq)
+                t = np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+                t[tau == 0.0] = 1.0
+                big = np.abs(tau) > 1e100
+                if big.any():
+                    t[big] = 1.0 / (2.0 * tau[big])
                 c = 1.0 / np.sqrt(1.0 + t * t)
                 s = t * c
-                # A <- G^T A G with the rotation in the (p, q) plane
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p = A[p, :].copy()
-                row_q = A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                qcol_p = Q[:, p].copy()
-                qcol_q = Q[:, q].copy()
-                Q[:, p] = c * qcol_p - s * qcol_q
-                Q[:, q] = s * qcol_p + c * qcol_q
+                J = eye.copy()
+                J.put(rot, np.concatenate((c, s, -s, c)))
+                A = J.T @ A @ J
+                A.put(zero, 0.0)
+                Q = Q @ J
     return np.diagonal(A).copy(), Q
-
-
-def _project_psd(G: np.ndarray) -> np.ndarray:
-    vals, Q = jacobi_eigh(G)
-    return _reassemble_clipped(vals, Q)
 
 
 def _reassemble_clipped(vals: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -161,12 +208,12 @@ def _reassemble_clipped(vals: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 
 def _project_affine(G: np.ndarray, problem: GramProblem) -> np.ndarray:
+    flat, group, size, rhs = problem.affine_index
+    entries = G.take(flat)
+    sums = np.bincount(group, weights=entries, minlength=len(rhs))
     out = G.copy()
-    for pairs, rhs in problem.groups:
-        ii = [i for i, _ in pairs]
-        jj = [j for _, j in pairs]
-        s = out[ii, jj].sum()
-        out[ii, jj] += (float(rhs) - s) / len(pairs)
+    # the groups partition their entries, so each flat index occurs once
+    out.put(flat, entries + ((rhs - sums) / size)[group])
     return out
 
 
@@ -176,17 +223,25 @@ def search(problem: GramProblem, tolerance: float = 1e-9,
 
     Returns an affine-feasible G whose minimum eigenvalue exceeds
     -tolerance, or None.  Start point and stall jitter are seeded, so runs
-    are reproducible.
+    are reproducible.  Each decomposition is warm-started from the previous
+    iterate's eigenbasis, except on the first iteration and after a jitter.
     """
     n = problem.size
     rng = np.random.default_rng([seed, n])
     G = _project_affine(np.zeros((n, n)), problem)
     best_eig = -np.inf
     stall = 0
+    Q = None
     for _ in range(max_iterations):
         # G is affine-feasible here; one decomposition serves both the
-        # convergence test and the PSD projection
-        vals, Q = jacobi_eigh(G)
+        # convergence test and the PSD projection.  G moves little per
+        # iteration, so in the previous eigenbasis it is nearly diagonal
+        # and about one sweep does.
+        if Q is None:
+            vals, Q = jacobi_eigh(G)
+        else:
+            vals, rotation = jacobi_eigh(Q.T @ G @ Q)
+            Q = Q @ rotation
         min_eig = float(vals.min())
         if min_eig > -tolerance:
             return G
@@ -201,6 +256,7 @@ def search(problem: GramProblem, tolerance: float = 1e-9,
                 G = _project_affine(G + jitter, problem)
                 best_eig = -np.inf
                 stall = 0
+                Q = None
                 continue
         P = _reassemble_clipped(vals, Q)
         G = _project_affine(P, problem)

@@ -190,6 +190,18 @@ class TestUsageAndHelp:
         assert code == 3
         assert "error:" in err
 
+    @pytest.mark.parametrize("text", [
+        '{"m": 3, "rank": 1, "bases": [["a"]]}',           # not an integer
+        '{"m": 3, "rank": 1, "bases": [[4]]}',             # outside 1..m
+        '{"m": 4, "rank": 2, "bases": [[1, 2], [3, 4]]}',  # no basis exchange
+    ], ids=["non_integer", "outside_ground_set", "basis_exchange"])
+    def test_malformed_subsets_are_a_parse_error(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, _, err = run(capsys, "bases", str(path))
+        assert code == 3
+        assert "invalid matroid file" in err
+
     def test_zero_denominator_weight_is_a_parse_error(self, capsys, tmp_path):
         path = tmp_path / "zero.cert"
         path.write_text(json.dumps({

@@ -1,21 +1,33 @@
+import ast
 import random
 from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hppcheck.catalog import resolve_name, uniform
+from hppcheck.catalog import entry, resolve_name, uniform
 from hppcheck.certificate import verify
 from hppcheck.polynomial import parse_polynomial
 from hppcheck.rayleigh import rayleigh_diff_multiaffine
-from hppcheck.sos_search import (GramProblemError, build_problem,
+from hppcheck.sos_search import (GramProblemError, _project_affine,
+                                 _reduced_problem, _round_robin, build_problem,
                                  certificate_from_gram, jacobi_eigh,
                                  ldlt_psd, rationalize_and_verify, search,
                                  search_certificate)
 
+SRC = Path(__file__).resolve().parents[1] / "src" / "hppcheck"
+
 
 def P(text, m=None):
     return parse_polynomial(text, m)
+
+
+def cert_target(name):
+    ent = entry(name)
+    return rayleigh_diff_multiaffine(ent.matroid.basis_polynomial(),
+                                     *ent.cert_pair)
 
 
 def mono(b, m):
@@ -74,6 +86,17 @@ class TestSearch:
         assert search(prob, max_iterations=300) is None
 
 
+def _project_affine_loop(G, problem):
+    """The projection as one Python step per group, kept as the reference."""
+    out = G.copy()
+    for pairs, rhs in problem.groups:
+        ii = [i for i, _ in pairs]
+        jj = [j for _, j in pairs]
+        s = out[ii, jj].sum()
+        out[ii, jj] += (float(rhs) - s) / len(pairs)
+    return out
+
+
 class TestJacobi:
     def test_reconstruction_accuracy(self):
         rng = np.random.default_rng(11)
@@ -90,6 +113,97 @@ class TestJacobi:
         A = (A + A.T) / 2
         vals, _ = jacobi_eigh(A)
         assert np.allclose(np.sort(vals), np.linalg.eigvalsh(A), atol=1e-10)
+
+    @pytest.mark.parametrize("n", range(2, 14))
+    def test_round_robin_covers_each_pair_once(self, n):
+        rounds = _round_robin(n)
+        assert len(rounds) == (n - 1 if n % 2 == 0 else n)
+        for pairs in rounds:
+            assert len(pairs) == n // 2
+            assert all(p < q for p, q in pairs)
+            assert len({i for pair in pairs for i in pair}) == 2 * len(pairs)
+        seen = sorted(pair for pairs in rounds for pair in pairs)
+        assert seen == list(combinations(range(n), 2))
+
+    @pytest.mark.parametrize("kind", ["diagonal", "zero", "repeated",
+                                      "equal_diagonal", "block", "odd3",
+                                      "odd5"])
+    def test_special_inputs(self, kind):
+        rng = np.random.default_rng(5)
+        if kind == "diagonal":
+            A = np.diag([3.0, -1.0, 0.0, 2.0, 2.0, -7.5])
+        elif kind == "zero":
+            A = np.zeros((6, 6))
+        elif kind == "equal_diagonal":
+            # tau == 0 in every pair of the first round
+            A = np.ones((6, 6))
+            A[0, 5] = A[5, 0] = -2.0
+        elif kind == "block":
+            # exact zeros between the blocks: rounds mixing skipped pairs
+            # (|A[p, q]| <= 1e-300) with rotated ones
+            A = np.zeros((7, 7))
+            for lo, hi in ((0, 3), (3, 7)):
+                X = rng.normal(size=(hi - lo, hi - lo))
+                A[lo:hi, lo:hi] = (X + X.T) / 2
+        elif kind == "repeated":
+            # spectrum (2, 2, 2, -1, 5, 0) in a random orthonormal basis
+            V, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+            A = (V * [2.0, 2.0, 2.0, -1.0, 5.0, 0.0]) @ V.T
+            A = (A + A.T) / 2
+        else:
+            n = 3 if kind == "odd3" else 5
+            A = rng.normal(size=(n, n))
+            A = (A + A.T) / 2
+        vals, Q = jacobi_eigh(A)
+        assert np.linalg.norm((Q * vals) @ Q.T - A) < 1e-10
+        assert np.linalg.norm(Q.T @ Q - np.eye(len(A))) < 1e-10
+        assert np.allclose(np.sort(vals), np.linalg.eigvalsh(A), atol=1e-10)
+
+    def test_warm_start_reconstructs(self):
+        # the search decomposes Q.T @ G @ Q for the eigenbasis Q of the
+        # previous, nearby iterate and multiplies the rotation back
+        rng = np.random.default_rng(8)
+        for n in (5, 8, 12):
+            A = rng.normal(size=(n, n))
+            A = (A + A.T) / 2
+            E = 1e-3 * rng.normal(size=(n, n))
+            B = A + (E + E.T) / 2
+            _, Q = jacobi_eigh(A)
+            vals, R = jacobi_eigh(Q.T @ B @ Q)
+            Q2 = Q @ R
+            assert np.linalg.norm((Q2 * vals) @ Q2.T - B) < 1e-10
+            assert np.allclose(np.sort(vals), np.linalg.eigvalsh(B), atol=1e-10)
+
+
+    @pytest.mark.parametrize("name", ["W3p", "nP_d9"])
+    def test_project_affine_matches_loop(self, name):
+        problem = build_problem(cert_target(name))
+        rng = np.random.default_rng(21)
+        for prob in (problem, _reduced_problem(problem)):
+            for _ in range(5):
+                G = rng.normal(size=(prob.size, prob.size))
+                G = (G + G.T) / 2
+                want = _project_affine_loop(G, prob)
+                assert np.abs(_project_affine(G, prob) - want).max() < 1e-12
+
+
+def test_no_library_eigensolver():
+    # the eigendecompositions are hand-written Jacobi rotations;
+    # numpy.linalg.eigvalsh may appear only as a test oracle
+    banned = {"eig", "eigh", "eigvals", "eigvalsh"}
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in banned):
+                found.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.ImportFrom) and any(
+                    alias.name in banned for alias in node.names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found
 
 
 class TestLdlt:
@@ -172,6 +286,15 @@ class TestEndToEnd:
     def test_u24_search_certificate(self):
         Z = uniform(2, 4).basis_polynomial()
         target = rayleigh_diff_multiaffine(Z, 1, 2)
+        cert = search_certificate(target)
+        assert cert is not None
+        assert verify(cert, target).passed
+
+    @pytest.mark.parametrize("name", ["W3p", "nP_d9"])
+    def test_rederives_shipped_targets(self, name):
+        # W3p fails the tight phase and succeeds on the integer-zero face
+        # after the loose phase; nP_d9 converges in the tight phase
+        target = cert_target(name)
         cert = search_certificate(target)
         assert cert is not None
         assert verify(cert, target).passed
