@@ -79,8 +79,8 @@ class Verdict:
 
     passed: bool
     monomial: tuple[int, ...] | None = None   # first differing exponent tuple
-    expected: Fraction | None = None          # target coefficient there
-    actual: Fraction | None = None            # expansion coefficient there
+    expected: int | Fraction | None = None    # target coefficient there
+    actual: int | Fraction | None = None      # expansion coefficient there
 
     def __bool__(self) -> bool:
         return self.passed
@@ -126,7 +126,7 @@ def certificate_to_text(cert: SosCertificate) -> str:
         payload["pair"] = list(cert.pair)
     if cert.target is not None:
         payload["target"] = format_polynomial(cert.target)
-    payload["terms"] = [{"weight": _format_fraction(w),
+    payload["terms"] = [{"weight": format_fraction(w),
                          "poly": format_polynomial(q)}
                         for w, q in cert.terms]
     return json.dumps(payload, indent=2) + "\n"
@@ -174,7 +174,9 @@ def certificate_from_text(text: str, source: str = "<string>") -> SosCertificate
                           pair=pair, target=target)
 
 
-def _format_fraction(x: Fraction) -> str:
+def format_fraction(x: int | Fraction) -> str:
+    """The text of a rational, "n" or "n/d", as certificates and reports
+    write it."""
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 

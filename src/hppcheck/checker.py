@@ -28,7 +28,8 @@ from typing import Any
 from hppcheck import sampler as sampler_mod
 from hppcheck import sos_search as sos_mod
 from hppcheck.catalog import catalog_index, entry
-from hppcheck.certificate import CertificateStore, SosCertificate, verify
+from hppcheck.certificate import (CertificateStore, SosCertificate,
+                                 format_fraction, verify)
 from hppcheck.matroid import IsoTable, Matroid
 from hppcheck.polynomial import format_polynomial
 from hppcheck.rayleigh import rayleigh_diff_multiaffine
@@ -403,7 +404,7 @@ class StrongRayleighChecker:
                     continue
                 return {"kind": "sos_search", "pair": [e, f],
                         "certificate": {
-                            "terms": [[str(w), format_polynomial(q)]
+                            "terms": [[format_fraction(w), format_polynomial(q)]
                                       for w, q in cert.terms]}}
         return None
 
@@ -421,8 +422,8 @@ class StrongRayleighChecker:
         if counter is None:
             return None
         return {"kind": "counterexample", "pair": list(counter.pair),
-                "point": [_frac_str(x) for x in counter.point],
-                "value": _frac_str(counter.value)}
+                "point": [format_fraction(x) for x in counter.point],
+                "value": format_fraction(counter.value)}
 
     def _lift_counterexample(self, M: Matroid, child: dict) -> dict | None:
         """Turn a refuted minor's counterexample into one for M itself."""
@@ -447,8 +448,8 @@ class StrongRayleighChecker:
             value = delta.eval_rational(base_point)
             if value < 0:
                 return {"kind": "counterexample", "pair": list(pair_m),
-                        "point": [_frac_str(x) for x in base_point],
-                        "value": _frac_str(value)}
+                        "point": [format_fraction(x) for x in base_point],
+                        "value": format_fraction(value)}
             return None
         # contraction: grow y_e until the leading quadratic term dominates
         for k in range(0, 128):
@@ -457,13 +458,9 @@ class StrongRayleighChecker:
             value = delta.eval_rational(pt)
             if value < 0:
                 return {"kind": "counterexample", "pair": list(pair_m),
-                        "point": [_frac_str(x) for x in pt],
-                        "value": _frac_str(value)}
+                        "point": [format_fraction(x) for x in pt],
+                        "value": format_fraction(value)}
         return None
-
-
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def check_strong_rayleigh(M: Matroid, store: CertificateStore,

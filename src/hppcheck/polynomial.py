@@ -2,9 +2,10 @@
 
 Variables are y1..ym over a fixed ground set {1, ..., m}.  A polynomial is
 a map from exponent tuples (one small nonnegative integer per variable) to
-nonzero Fraction coefficients.  All arithmetic is exact; equality is exact
-term-wise equality.  Values are immutable after construction and safe to
-share across threads.
+nonzero rational coefficients, stored as int when integral and as Fraction
+otherwise.  All arithmetic is exact; equality is exact term-wise equality
+(an int equals, and hashes like, the integral Fraction of the same value).
+Values are immutable after construction and safe to share across threads.
 
 Canonical term order is graded lexicographic: higher total degree first,
 ties broken by the exponent tuple in descending lexicographic order (y1
@@ -24,10 +25,12 @@ Powers are written as repeated factors (y3*y3, never y3^2), e.g.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Exponents = tuple[int, ...]
+Coefficient = int | Fraction
 
 
 class GroundSetMismatchError(ValueError):
@@ -42,15 +45,21 @@ def _graded_lex_key(exps: Exponents) -> tuple:
     return (-sum(exps), tuple(-e for e in exps))
 
 
+def _clean(terms: Mapping[Exponents, Coefficient]) -> dict[Exponents, Coefficient]:
+    """Drop zero coefficients and store integral ones as int."""
+    return {e: c if type(c) is int else int(c.numerator) if c.denominator == 1 else c
+            for e, c in terms.items() if c}
+
+
 class Polynomial:
-    """Immutable sparse polynomial over Fraction coefficients."""
+    """Immutable sparse polynomial over rational (int or Fraction) coefficients."""
 
     __slots__ = ("m", "_terms", "_hash")
 
-    def __init__(self, m: int, terms: Mapping[Exponents, Fraction | int] | None = None):
+    def __init__(self, m: int, terms: Mapping[Exponents, Coefficient] | None = None):
         if m < 0:
             raise ValueError("ground set size must be nonnegative")
-        clean: dict[Exponents, Fraction] = {}
+        acc: dict[Exponents, Coefficient] = {}
         if terms:
             for exps, coeff in terms.items():
                 exps = tuple(int(e) for e in exps)
@@ -59,15 +68,25 @@ class Polynomial:
                         f"exponent tuple {exps} does not match ground set size {m}")
                 if any(e < 0 for e in exps):
                     raise ValueError(f"negative exponent in {exps}")
-                c = Fraction(coeff)
-                if c != 0:
-                    acc = clean.get(exps)
-                    clean[exps] = c if acc is None else acc + c
-                    if clean[exps] == 0:
-                        del clean[exps]
+                c = coeff if type(coeff) is int else Fraction(coeff)
+                prev = acc.get(exps)
+                acc[exps] = c if prev is None else prev + c
         self.m = m
-        self._terms = clean
+        self._terms = _clean(acc)
         self._hash: int | None = None
+
+    @classmethod
+    def _trusted(cls, m: int, terms: dict[Exponents, Coefficient]) -> Polynomial:
+        """Wrap terms that are already clean, without checking them: every
+        exponent tuple has length m, no coefficient is zero and integral
+        ones are int.  The dict is taken over, not copied.  Only the ring
+        operations below call this; input from outside goes through
+        __init__."""
+        p = object.__new__(cls)
+        p.m = m
+        p._terms = terms
+        p._hash = None
+        return p
 
     # -- constructors -------------------------------------------------
 
@@ -76,8 +95,8 @@ class Polynomial:
         return cls(m)
 
     @classmethod
-    def constant(cls, m: int, value: Fraction | int) -> Polynomial:
-        return cls(m, {(0,) * m: Fraction(value)})
+    def constant(cls, m: int, value: Coefficient) -> Polynomial:
+        return cls(m, {(0,) * m: value})
 
     @classmethod
     def one(cls, m: int) -> Polynomial:
@@ -89,15 +108,15 @@ class Polynomial:
             raise ValueError(f"variable index {v} outside ground set 1..{m}")
         exps = [0] * m
         exps[v - 1] = 1
-        return cls(m, {tuple(exps): Fraction(1)})
+        return cls(m, {tuple(exps): 1})
 
     @classmethod
-    def from_monomials(cls, m: int, entries: Iterable[tuple[Iterable[int], Fraction | int]]) -> Polynomial:
+    def from_monomials(cls, m: int, entries: Iterable[tuple[Iterable[int], Coefficient]]) -> Polynomial:
         """Build from (variable-index iterable, coefficient) pairs.
 
         Repeated indices give powers: ([3, 3], 1) is y3*y3.
         """
-        acc: dict[Exponents, Fraction] = {}
+        acc: dict[Exponents, Coefficient] = {}
         for indices, coeff in entries:
             exps = [0] * m
             for v in indices:
@@ -105,17 +124,17 @@ class Polynomial:
                     raise ValueError(f"variable index {v} outside ground set 1..{m}")
                 exps[v - 1] += 1
             key = tuple(exps)
-            acc[key] = acc.get(key, Fraction(0)) + Fraction(coeff)
+            acc[key] = acc.get(key, 0) + Fraction(coeff)
         return cls(m, acc)
 
     # -- mapping-like access -------------------------------------------
 
     @property
-    def terms(self) -> Mapping[Exponents, Fraction]:
+    def terms(self) -> Mapping[Exponents, Coefficient]:
         return self._terms
 
-    def coefficient(self, exps: Iterable[int]) -> Fraction:
-        return self._terms.get(tuple(exps), Fraction(0))
+    def coefficient(self, exps: Iterable[int]) -> Coefficient:
+        return self._terms.get(tuple(exps), 0)
 
     def num_terms(self) -> int:
         return len(self._terms)
@@ -123,11 +142,11 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Exponents, Coefficient]]:
         """Terms in canonical graded-lex order."""
         return sorted(self._terms.items(), key=lambda kv: _graded_lex_key(kv[0]))
 
-    def __iter__(self) -> Iterator[tuple[Exponents, Fraction]]:
+    def __iter__(self) -> Iterator[tuple[Exponents, Coefficient]]:
         return iter(self.sorted_terms())
 
     # -- ring operations ----------------------------------------------
@@ -142,14 +161,11 @@ class Polynomial:
             return NotImplemented
         self._check_m(other)
         out = dict(self._terms)
+        get = out.get
         for exps, c in other._terms.items():
-            acc = out.get(exps)
-            s = c if acc is None else acc + c
-            if s == 0:
-                out.pop(exps, None)
-            else:
-                out[exps] = s
-        return Polynomial(self.m, out)
+            prev = get(exps)
+            out[exps] = c if prev is None else prev + c
+        return Polynomial._trusted(self.m, _clean(out))
 
     def __sub__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):
@@ -157,33 +173,31 @@ class Polynomial:
         return self + (-other)
 
     def __neg__(self) -> Polynomial:
-        return Polynomial(self.m, {e: -c for e, c in self._terms.items()})
+        return Polynomial._trusted(self.m, {e: -c for e, c in self._terms.items()})
 
-    def scalar_mul(self, value: Fraction | int) -> Polynomial:
-        v = Fraction(value)
-        if v == 0:
-            return Polynomial.zero(self.m)
-        return Polynomial(self.m, {e: c * v for e, c in self._terms.items()})
+    def scalar_mul(self, value: Coefficient) -> Polynomial:
+        v = value if type(value) is int else Fraction(value)
+        return Polynomial._trusted(
+            self.m, _clean({e: c * v for e, c in self._terms.items()}))
 
-    def __mul__(self, other: Polynomial | Fraction | int) -> Polynomial:
+    def __mul__(self, other: Polynomial | Coefficient) -> Polynomial:
         if isinstance(other, (int, Fraction)):
             return self.scalar_mul(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_m(other)
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Coefficient] = {}
+        get = out.get
+        add = operator.add
+        right = list(other._terms.items())
         for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                acc = out.get(key)
-                s = c1 * c2 if acc is None else acc + c1 * c2
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return Polynomial(self.m, out)
+            for e2, c2 in right:
+                key = tuple(map(add, e1, e2))
+                prev = get(key)
+                out[key] = c1 * c2 if prev is None else prev + c1 * c2
+        return Polynomial._trusted(self.m, _clean(out))
 
-    def __rmul__(self, other: Fraction | int) -> Polynomial:
+    def __rmul__(self, other: Coefficient) -> Polynomial:
         if isinstance(other, (int, Fraction)):
             return self.scalar_mul(other)
         return NotImplemented
@@ -206,31 +220,26 @@ class Polynomial:
         if not 1 <= e <= self.m:
             raise ValueError(f"variable index {e} outside ground set 1..{self.m}")
         i = e - 1
-        out: dict[Exponents, Fraction] = {}
+        # exps -> key is one-to-one on the terms that hold y_e, so nothing
+        # accumulates; _clean only turns integral Fractions into int
+        out: dict[Exponents, Coefficient] = {}
         for exps, c in self._terms.items():
             k = exps[i]
-            if k == 0:
-                continue
-            key = exps[:i] + (k - 1,) + exps[i + 1:]
-            acc = out.get(key)
-            s = c * k if acc is None else acc + c * k
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return Polynomial(self.m, out)
+            if k:
+                out[exps[:i] + (k - 1,) + exps[i + 1:]] = c * k
+        return Polynomial._trusted(self.m, _clean(out))
 
     def delete(self, e: int) -> Polynomial:
         """Substitution y_e := 0."""
         if not 1 <= e <= self.m:
             raise ValueError(f"variable index {e} outside ground set 1..{self.m}")
         i = e - 1
-        return Polynomial(self.m, {exps: c for exps, c in self._terms.items()
-                                   if exps[i] == 0})
+        return Polynomial._trusted(self.m, {exps: c for exps, c in self._terms.items()
+                                            if exps[i] == 0})
 
     # -- evaluation -----------------------------------------------------
 
-    def eval_rational(self, point: Sequence[Fraction | int]) -> Fraction:
+    def eval_rational(self, point: Sequence[Coefficient]) -> Fraction:
         if len(point) != self.m:
             raise GroundSetMismatchError(
                 f"point length {len(point)} does not match ground set size {self.m}")
@@ -293,11 +302,11 @@ class Polynomial:
         Coefficient polynomials live on the same ground set with y_v absent.
         """
         i = v - 1
-        buckets: dict[int, dict[Exponents, Fraction]] = {}
+        buckets: dict[int, dict[Exponents, Coefficient]] = {}
         for exps, c in self._terms.items():
             k = exps[i]
             rest = exps[:i] + (0,) + exps[i + 1:]
-            buckets.setdefault(k, {})[rest] = buckets.get(k, {}).get(rest, Fraction(0)) + c
+            buckets.setdefault(k, {})[rest] = buckets.get(k, {}).get(rest, 0) + c
         return {k: Polynomial(self.m, d) for k, d in buckets.items()}
 
     # -- relabeling -------------------------------------------------------
@@ -309,14 +318,14 @@ class Polynomial:
         """
         if sorted(perm) != list(range(1, self.m + 1)):
             raise ValueError("perm is not a permutation of the ground set")
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Coefficient] = {}
         for exps, c in self._terms.items():
             new = [0] * self.m
             for i, e in enumerate(exps):
                 if e:
                     new[perm[i] - 1] = e
             out[tuple(new)] = c
-        return Polynomial(self.m, out)
+        return Polynomial._trusted(self.m, out)
 
     def padded(self, new_m: int) -> Polynomial:
         """Extend the ground set to new_m >= m; new variables are absent."""
@@ -326,7 +335,7 @@ class Polynomial:
         if new_m == self.m:
             return self
         pad = (0,) * (new_m - self.m)
-        return Polynomial(new_m, {exps + pad: c for exps, c in self._terms.items()})
+        return Polynomial._trusted(new_m, {exps + pad: c for exps, c in self._terms.items()})
 
     # -- equality and text -------------------------------------------------
 

@@ -21,6 +21,8 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from typing import Callable
 
 import numpy as np
 
@@ -296,7 +298,7 @@ def ldlt_psd(A: list[list[Fraction]]) -> tuple[list[int], list[list[Fraction]], 
             perm[k], perm[p] = perm[p], perm[k]
             for j in range(k):
                 L[k][j], L[p][j] = L[p][j], L[k][j]
-        d = A[k][k]
+        d = Fraction(A[k][k])
         D[k] = d
         for i in range(k + 1, n):
             L[i][k] = A[i][k] / d
@@ -369,7 +371,7 @@ def rationalize_and_verify(G: np.ndarray, problem: GramProblem,
             if rhs != 0:
                 return None
             continue
-        r = (rhs - s) / len(free)
+        r = Fraction(rhs - s, len(free))
         if r != 0:
             for i, j in free:
                 Grat[i][j] += r
@@ -398,7 +400,6 @@ def _integer_zero_kernel(problem: GramProblem,
                        for c in target.terms.values()], dtype=object)
     if any(c.denominator != 1 for c in target.terms.values()):
         # rational coefficients: clear denominators first
-        from math import lcm
         den = 1
         for c in target.terms.values():
             den = lcm(den, c.denominator)
@@ -452,7 +453,7 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
+        inv = Fraction(1) / mat[r][c]
         mat[r] = [x * inv for x in mat[r]]
         for i in range(nrows):
             if i != r and mat[i][c] != 0:
@@ -481,49 +482,61 @@ def _nullspace(rows: list[list[Fraction]], n: int) -> list[list[Fraction]]:
     return basis
 
 
-def _solve_affine_projection(C: list[list[Fraction]], b: list[Fraction],
-                             x0: list[Fraction]) -> list[Fraction] | None:
-    """Exact Euclidean projection of x0 onto {x : C x = b}.
+def _affine_projection(C: list[list[Fraction]], b: list[Fraction]
+                       ) -> Callable[[list[Fraction]], list[Fraction]] | None:
+    """The exact Euclidean projection onto {x : C x = b}, as a function of
+    the point x0; None when the system is inconsistent.
 
-    Reduces to independent rows, then x = x0 - C'^T y with
-    (C' C'^T) y = C' x0 - b'.  Returns None when the system is
-    inconsistent.
+    Everything that does not depend on x0 is computed here, once: a
+    particular solution xp (the RREF of [C | b] with the free variables
+    zero), a basis N of the nullspace of C, scaled to integer columns,
+    and the inverse of N^T N.  Projecting x0 is then
+    xp + N (N^T N)^{-1} N^T (x0 - xp).
     """
-    aug = [row + [rhs] for row, rhs in zip(C, b)]
-    red, pivots = _rref(aug)
     ncols = len(C[0])
+    red, pivots = _rref([row + [rhs] for row, rhs in zip(C, b)])
+    if pivots and pivots[-1] == ncols:
+        return None          # 0 = 1 row: inconsistent
+    xp = [Fraction(0)] * ncols
     for row, pc in zip(red, pivots):
-        if pc == ncols:
-            return None      # 0 = 1 row: inconsistent
-    C2 = [row[:-1] for row in red]
-    b2 = [row[-1] for row in red]
-    k = len(C2)
-    if k == 0:
-        return list(x0)
-    # gram = C2 C2^T (independent rows => invertible)
-    gram = [[sum(C2[i][t] * C2[j][t] for t in range(ncols))
-             for j in range(k)] for i in range(k)]
-    rhs = [sum(C2[i][t] * x0[t] for t in range(ncols)) - b2[i]
-           for i in range(k)]
-    aug2 = [gram[i] + [rhs[i]] for i in range(k)]
-    red2, piv2 = _rref(aug2)
-    if len(piv2) != k or any(p >= k for p in piv2):
-        return None
-    y = [Fraction(0)] * k
-    for row, pc in zip(red2, piv2):
-        y[pc] = row[-1]
-    return [x0[t] - sum(C2[i][t] * y[i] for i in range(k))
-            for t in range(ncols)]
+        xp[pc] = row[-1]
+    # scaling a column of N leaves the projection unchanged
+    N = []
+    for vec in _nullspace(C, ncols):
+        scale = lcm(*(x.denominator for x in vec))
+        N.append([int(x * scale) for x in vec])
+    d = len(N)
+    if d == 0:
+        return lambda x0: list(xp)
+    support = [[(t, x) for t, x in enumerate(vec) if x] for vec in N]
+    gram = [[sum(x * N[j][t] for t, x in support[i]) for j in range(d)]
+            for i in range(d)]
+    inv, _ = _rref([gram[i] + [int(i == j) for j in range(d)] for i in range(d)])
+    inv = [row[d:] for row in inv]
+
+    def project(x0: list[Fraction]) -> list[Fraction]:
+        u = [sum(x * (x0[t] - xp[t]) for t, x in nz) for nz in support]
+        z = [sum(a * c for a, c in zip(row, u)) for row in inv]
+        out = list(xp)
+        for zi, nz in zip(z, support):
+            for t, x in nz:
+                out[t] += zi * x
+        return out
+
+    return project
 
 
 def _rationalize_on_face(G: np.ndarray, problem: GramProblem,
                          kernel: list[list[Fraction]],
-                         denominator_bound: int) -> SosCertificate | None:
+                         bounds: list[int]) -> SosCertificate | None:
     """Exact rationalization restricted to the kernel's orthocomplement.
 
     Writes G = B H B^T with B a rational nullspace basis of the kernel
-    constraints, rounds the induced H, projects it exactly onto the
-    (consistent by construction) coefficient constraints, and factors.
+    constraints, rounds the induced H at each denominator bound in turn,
+    projects it exactly onto the (consistent by construction) coefficient
+    constraints, and factors; returns the first certificate that verifies.
+    Only the rounding depends on the bound, so everything else is built
+    once.
     """
     n = problem.size
     B = _nullspace(kernel, n)        # columns (as vectors) of the face basis
@@ -541,8 +554,6 @@ def _rationalize_on_face(G: np.ndarray, problem: GramProblem,
     Hf = (Hf + Hf.T) / 2.0
     # unknowns: upper triangle of H
     idx = [(p, q) for p in range(r) for q in range(p, r)]
-    x0 = [Fraction(float(Hf[p, q])).limit_denominator(denominator_bound)
-          for p, q in idx]
     # constraints: sum over group pairs of (B H B^T)[i][j] = rhs
     C: list[list[Fraction]] = []
     b: list[Fraction] = []
@@ -556,17 +567,9 @@ def _rationalize_on_face(G: np.ndarray, problem: GramProblem,
                 row[t] += coeff
         C.append(row)
         b.append(rhs)
-    sol = _solve_affine_projection(C, b, x0)
-    if sol is None:
+    project = _affine_projection(C, b)
+    if project is None:
         return None
-    H = [[Fraction(0)] * r for _ in range(r)]
-    for t, (p, q) in enumerate(idx):
-        H[p][q] = sol[t]
-        H[q][p] = sol[t]
-    fact = ldlt_psd(H)
-    if fact is None:
-        return None
-    perm, L, D = fact
     monos = problem.basis_polynomials()
     w_polys = []
     for a in range(r):
@@ -575,21 +578,32 @@ def _rationalize_on_face(G: np.ndarray, problem: GramProblem,
             if B[a][i] != 0:
                 poly = poly + monos[i].scalar_mul(B[a][i])
         w_polys.append(poly)
-    terms = []
-    for k in range(r):
-        if D[k] == 0:
+    for bound in bounds:
+        x0 = [Fraction(float(Hf[p, q])).limit_denominator(bound) for p, q in idx]
+        sol = project(x0)
+        H = [[Fraction(0)] * r for _ in range(r)]
+        for t, (p, q) in enumerate(idx):
+            H[p][q] = sol[t]
+            H[q][p] = sol[t]
+        fact = ldlt_psd(H)
+        if fact is None:
             continue
-        q = Polynomial.zero(problem.target.m)
-        for a in range(r):
-            if L[a][k] != 0:
-                q = q + w_polys[perm[a]].scalar_mul(L[a][k])
-        terms.append((D[k], q))
-    if not terms:
-        return None
-    cert = SosCertificate(terms=tuple(terms), target=problem.target)
-    if not verify(cert, problem.target):
-        return None
-    return cert
+        perm, L, D = fact
+        terms = []
+        for k in range(r):
+            if D[k] == 0:
+                continue
+            q = Polynomial.zero(problem.target.m)
+            for a in range(r):
+                if L[a][k] != 0:
+                    q = q + w_polys[perm[a]].scalar_mul(L[a][k])
+            terms.append((D[k], q))
+        if not terms:
+            continue
+        cert = SosCertificate(terms=tuple(terms), target=problem.target)
+        if verify(cert, problem.target):
+            return cert
+    return None
 
 
 def _reduced_problem(problem: GramProblem) -> GramProblem | None:
@@ -643,18 +657,16 @@ def search_certificate(target: Polynomial, tolerance: float = 1e-9,
         if loose is None:
             return None
     cand = G if G is not None else loose
+    bounds = []
     bound = denominator_bound
     while bound <= denominator_cap:
+        bounds.append(bound)
+        bound *= 4
+    for bound in bounds:
         cert = rationalize_and_verify(cand, reduced, bound)
         if cert is not None:
             return cert
-        bound *= 4
     kernel = _integer_zero_kernel(reduced)
     if kernel:
-        bound = denominator_bound
-        while bound <= denominator_cap:
-            cert = _rationalize_on_face(cand, reduced, kernel, bound)
-            if cert is not None:
-                return cert
-            bound *= 4
+        return _rationalize_on_face(cand, reduced, kernel, bounds)
     return None

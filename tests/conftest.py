@@ -2,8 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from hppcheck.polynomial import Polynomial
+
+# property tests draw the same examples on every run and never time out
+settings.register_profile("hppcheck", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("hppcheck")
 
 
 def random_multiaffine(rng: random.Random, m: int, density: float = 0.4) -> Polynomial:

@@ -6,7 +6,8 @@ from hppcheck.catalog import entry
 from hppcheck.certificate import (CertificateParseError,
                                   DuplicateCertificateError, SosCertificate,
                                   certificate_from_text, certificate_to_text,
-                                  load_store, shipped_store, verify)
+                                  format_fraction, load_store, shipped_store,
+                                  verify)
 from hppcheck.polynomial import parse_polynomial
 from hppcheck.rayleigh import rayleigh_diff_multiaffine
 
@@ -81,6 +82,11 @@ class TestFilesAndStore:
         back = certificate_from_text(text)
         assert certificate_to_text(back) == text
         assert back.terms == c.terms
+
+    def test_format_fraction_int_or_fraction(self):
+        assert format_fraction(3) == format_fraction(Fraction(3)) == "3"
+        assert format_fraction(-7) == format_fraction(Fraction(-14, 2)) == "-7"
+        assert format_fraction(Fraction(-1, 2)) == str(Fraction(-1, 2)) == "-1/2"
 
     def test_shipped_files_are_canonical(self):
         from hppcheck.certificate import shipped_store_dir

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hppcheck.polynomial import (GroundSetMismatchError, Polynomial,
                                  PolynomialParseError, format_polynomial,
@@ -197,3 +199,49 @@ class TestRelabeling:
         assert parts[2] == P("y2", 3)
         assert parts[1] == P("y3", 3)
         assert parts[0] == P("y2", 3)
+
+
+# -- property tests: ring operations build clean polynomials --------------------
+
+M = 4
+exponents = st.tuples(*[st.integers(0, 2)] * M)
+rationals = st.one_of(st.integers(-9, 9),
+                      st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)))
+polynomials = st.dictionaries(exponents, rationals, max_size=6).map(
+    lambda terms: Polynomial(M, terms))
+points = st.lists(st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3)),
+                  min_size=M, max_size=M)
+
+
+def assert_clean(p):
+    """p is what the validating constructor makes of its own terms: no zero
+    coefficient, and every integral coefficient stored as int."""
+    assert p == Polynomial(p.m, dict(p.terms))
+    for exps, c in p.terms.items():
+        assert len(exps) == p.m
+        assert c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+class TestCleanCore:
+    @given(polynomials, polynomials, rationals, points)
+    def test_ring_operations(self, p, q, c, x):
+        for r in (p, q, p + q, p - q, -p, p * q, p.scalar_mul(c), c * p):
+            assert_clean(r)
+        assert (p + q).eval_rational(x) == p.eval_rational(x) + q.eval_rational(x)
+        assert (p * q).eval_rational(x) == p.eval_rational(x) * q.eval_rational(x)
+        assert p.scalar_mul(c).eval_rational(x) == c * p.eval_rational(x)
+
+    @given(polynomials, st.integers(1, M), st.permutations(range(1, M + 1)))
+    def test_minors_and_relabeling(self, p, e, perm):
+        for r in (p.contract(e), p.delete(e), p.permuted(perm), p.padded(M + 2)):
+            assert_clean(r)
+        assert p.permuted(perm).permuted(
+            [perm.index(v) + 1 for v in range(1, M + 1)]) == p
+
+    def test_integral_fraction_is_int(self):
+        e = (1, 0, 2)
+        p, q = Polynomial(3, {e: Fraction(3)}), Polynomial(3, {e: 3})
+        assert p == q and hash(p) == hash(q) and str(p) == str(q) == "3*y1*y3*y3"
+        assert type(p.coefficient(e)) is int
+        assert type(Polynomial(3, {e: Fraction(1, 2)}).scalar_mul(2).coefficient(e)) is int

@@ -11,10 +11,12 @@ from hppcheck.catalog import entry, resolve_name, uniform
 from hppcheck.certificate import verify
 from hppcheck.polynomial import parse_polynomial
 from hppcheck.rayleigh import rayleigh_diff_multiaffine
-from hppcheck.sos_search import (GramProblemError, _project_affine,
-                                 _reduced_problem, _round_robin, build_problem,
-                                 certificate_from_gram, jacobi_eigh,
-                                 ldlt_psd, rationalize_and_verify, search,
+from hppcheck.sos_search import (GramProblemError, _affine_projection,
+                                 _nullspace, _project_affine,
+                                 _reduced_problem, _round_robin, _rref,
+                                 build_problem, certificate_from_gram,
+                                 jacobi_eigh, ldlt_psd,
+                                 rationalize_and_verify, search,
                                  search_certificate)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hppcheck"
@@ -256,6 +258,72 @@ class TestLdlt:
             if cert is None:
                 continue     # expansion did not match this random target
             assert verify(cert, cert.expand()).passed
+
+
+def _exact(values):
+    return all(type(x) in (int, Fraction) for x in values)
+
+
+def _projection_by_normal_equations(C, b, x0):
+    """Reference: x = x0 - C'^T y with (C' C'^T) y = C' x0 - b' over the
+    independent rows C' x = b' of the RREF of [C | b]."""
+    red, pivots = _rref([row + [rhs] for row, rhs in zip(C, b)])
+    ncols = len(C[0])
+    if ncols in pivots:
+        return None
+    C2 = [row[:-1] for row in red]
+    b2 = [row[-1] for row in red]
+    k = len(C2)
+    if k == 0:
+        return list(x0)
+    gram = [[sum(C2[i][t] * C2[j][t] for t in range(ncols)) for j in range(k)]
+            for i in range(k)]
+    rhs = [sum(C2[i][t] * x0[t] for t in range(ncols)) - b2[i] for i in range(k)]
+    red2, _ = _rref([gram[i] + [rhs[i]] for i in range(k)])
+    y = [row[-1] for row in red2]
+    return [x0[t] - sum(C2[i][t] * y[i] for i in range(k)) for t in range(ncols)]
+
+
+class TestExactLinearAlgebra:
+    def test_rref_integer_input_stays_exact(self):
+        red, pivots = _rref([[2, 1]])
+        assert (red, pivots) == ([[1, Fraction(1, 2)]], [0])
+        assert _exact(red[0])
+
+    def test_nullspace_integer_input_stays_exact(self):
+        basis = _nullspace([[2, 1, 0], [0, 3, 3]], 3)
+        assert basis == [[Fraction(1, 2), -1, 1]]
+        assert _exact(basis[0])
+
+    def test_affine_projection_integer_input_stays_exact(self):
+        x = _affine_projection([[2, 0]], [1])([0, 0])
+        assert x == [Fraction(1, 2), 0]
+        assert _exact(x)
+        assert _affine_projection([[1, 1], [2, 2]], [1, 3]) is None
+
+    def test_ldlt_integer_input_stays_exact(self):
+        perm, L, D = ldlt_psd([[2, 1], [1, 2]])
+        assert (perm, L, D) == ([0, 1], [[1, 0], [Fraction(1, 2), 1]],
+                                [2, Fraction(3, 2)])
+        assert _exact(D) and all(_exact(row) for row in L)
+
+    def test_affine_projection_matches_normal_equations(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            rows, ncols = rng.randint(1, 5), rng.randint(1, 6)
+            C = [[rng.randint(-2, 2) for _ in range(ncols)] for _ in range(rows)]
+            if rng.random() < 0.5:
+                C.append([x + y for x, y in zip(C[0], C[-1])])  # dependent row
+            x1 = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(ncols)]
+            b = [sum(c * x for c, x in zip(row, x1)) for row in C]
+            project = _affine_projection(C, b)
+            for _ in range(3):
+                x0 = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                      for _ in range(ncols)]
+                x = project(x0)
+                assert x == _projection_by_normal_equations(C, b, x0)
+                assert all(sum(c * v for c, v in zip(row, x)) == rhs
+                           for row, rhs in zip(C, b))
 
 
 class TestRationalize:
