@@ -56,8 +56,6 @@ class CheckOptions:
     seed: int = 0
     search_tolerance: float = 1e-9
     search_max_iterations: int = 50_000
-    search_denominator_bound: int = 1 << 16
-    search_denominator_cap: int = 1 << 32
     refute_trials: int = 100_000
     refute_restarts: int = 50
     refute_steps: int = 500
@@ -395,8 +393,6 @@ class StrongRayleighChecker:
                     target,
                     tolerance=self.options.search_tolerance,
                     max_iterations=self.options.search_max_iterations,
-                    denominator_bound=self.options.search_denominator_bound,
-                    denominator_cap=self.options.search_denominator_cap,
                     seed=self.options.seed)
                 if cert is None:
                     continue

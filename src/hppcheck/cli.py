@@ -199,7 +199,7 @@ def _cmd_sos_search(args) -> int:
         return EXIT_FAIL
     cert = search_certificate(
         target, tolerance=args.tolerance, max_iterations=args.max_iterations,
-        denominator_bound=args.denominator_bound, seed=args.seed)
+        seed=args.seed)
     if cert is None:
         print("no certificate found (this does not prove nonexistence)")
         return EXIT_INCONCLUSIVE
@@ -318,7 +318,6 @@ def build_parser() -> _Parser:
     p.add_argument("polyfile", help="catalog name or polynomial file")
     p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument("--max-iterations", type=int, default=50_000)
-    p.add_argument("--denominator-bound", type=int, default=1 << 16)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the certificate file here")
     p.set_defaults(func=_cmd_sos_search)

@@ -4,11 +4,18 @@ Pipeline: build a Gram-matrix problem over a multiaffine monomial basis,
 run alternating projections between the coefficient-matching affine
 subspace and the PSD cone (eigendecompositions via round-robin (Brent–Luk)
 Jacobi rotations, warm-started from the previous iterate's eigenbasis,
-written here, not a library call), then round the float Gram matrix to
-rationals, repair the affine constraints exactly, test positive
-semidefiniteness with an exact LDL^T factorization under symmetric
-pivoting, and read certificate terms off the factors.  A certificate is
-only ever emitted after it verifies exactly against the target, so the
+written here, not a library call), then rationalize on a face.
+
+There is one rationalization path, `rationalize_and_verify`: restrict the
+float Gram matrix to a face {B^T H B} of the PSD cone, round H, project
+it exactly and orthogonally onto the coefficient constraints (Peyrl &
+Parrilo 2008), test positive semidefiniteness with an exact LDL^T
+factorization under symmetric pivoting, and read certificate terms off
+the factors.  `search_certificate` tries three faces in a fixed order,
+each built only when the one before it fails: the whole space, the
+kernel given by integer zeros of the target, and the kernel spanned by
+the float iterate's near-null eigenvectors.  Exact verification decides
+every candidate (Permenter & Parrilo, partial facial reduction), so the
 float stage cannot leak into a proof.
 
 Failure at any stage returns None; failure to find a certificate says
@@ -22,12 +29,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from hppcheck.certificate import SosCertificate, verify
 from hppcheck.polynomial import Exponents, Polynomial
+
+# the denominator bounds a face's rounded Gram matrix is tried at, in turn
+DENOMINATOR_BOUNDS = tuple(1 << k for k in range(16, 33, 2))
+# tolerance of the loose search; eigenvalues below twice it are near-null
+LOOSE_TOLERANCE = 5e-4
 
 
 class GramProblemError(ValueError):
@@ -314,135 +326,91 @@ def ldlt_psd(A: list[list[Fraction]]) -> tuple[list[int], list[list[Fraction]], 
     return perm, L, D
 
 
-def certificate_from_gram(Grat: list[list[Fraction]],
-                          problem: GramProblem) -> SosCertificate | None:
-    """Exact PSD test + certificate extraction from a rational Gram matrix."""
-    fact = ldlt_psd(Grat)
-    if fact is None:
-        return None
-    perm, L, D = fact
-    monos = problem.basis_polynomials()
-    terms = []
-    n = problem.size
-    for k in range(n):
-        if D[k] == 0:
-            continue
-        q = Polynomial.zero(problem.target.m)
-        for a in range(n):
-            if L[a][k] != 0:
-                q = q + monos[perm[a]].scalar_mul(L[a][k])
-        terms.append((D[k], q))
-    if not terms:
-        return None
-    cert = SosCertificate(terms=tuple(terms), target=problem.target)
-    if not verify(cert, problem.target):
-        return None
-    return cert
 
 
-def rationalize_and_verify(G: np.ndarray, problem: GramProblem,
-                           denominator_bound: int) -> SosCertificate | None:
-    """Round, repair the affine constraints exactly, test PSD, extract.
-
-    Basis monomials whose pure-square target coefficient is zero are pinned
-    to zero rows first (any PSD solution has them zero), which keeps the
-    exact factorization away from forced boundary noise.
-    """
-    n = problem.size
-    zero_rows = set()
-    for i, exps in enumerate(problem.basis):
-        square = tuple(2 * e for e in exps)
-        if problem.target.coefficient(square) == 0:
-            zero_rows.add(i)
-    Grat: list[list[Fraction]] = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            if i in zero_rows or j in zero_rows:
-                continue
-            x = Fraction(float(G[i, j])).limit_denominator(denominator_bound)
-            Grat[i][j] = x
-            Grat[j][i] = x
-    # exact affine repair, distributing the residual inside each group
-    for pairs, rhs in problem.groups:
-        free = [(i, j) for i, j in pairs
-                if i not in zero_rows and j not in zero_rows]
-        s = sum(Grat[i][j] for i, j in free) if free else Fraction(0)
-        if not free:
-            if rhs != 0:
-                return None
-            continue
-        r = Fraction(rhs - s, len(free))
-        if r != 0:
-            for i, j in free:
-                Grat[i][j] += r
-    return certificate_from_gram(Grat, problem)
-
-
-# -- exact facial reduction via target zeros ------------------------------------
+# -- exact rationalization on a face --------------------------------------------
 #
 # When the target touches zero on real points, every valid Gram matrix is
 # singular there: target(x) = v(x)^T G v(x) = 0 with G PSD forces
-# G v(x) = 0, where v(x) evaluates the basis monomials.  Small integer
-# zeros therefore hand us exact kernel constraints; restricting to the
-# kernel's orthogonal complement turns a boundary-touching problem into
-# one with relative interior, which rounds robustly.
+# G v(x) = 0, where v(x) evaluates the basis monomials.  Such kernel
+# vectors, exact or guessed, restrict the search to a face of the PSD cone;
+# on the face a boundary-touching problem has relative interior, which
+# rounds robustly.
 
 
 def _integer_zero_kernel(problem: GramProblem,
-                         box: int = 2, cap: int = 400) -> list[list[Fraction]]:
-    """Exact kernel vectors from integer zeros of the target."""
+                         box: int = 2, cap: int = 400) -> list[list[int]]:
+    """Exact kernel vectors v(x) from the nonzero integer zeros x of the
+    target in [-box, box] over its support variables (at most `cap`).
+
+    The target is evaluated exactly in int64 after clearing denominators.
+    A target whose bound sum |c| * box^deg could overflow gets no vectors:
+    that loses a face, never soundness.
+    """
     target = problem.target
-    support = sorted(target.support_variables())
+    support = [v - 1 for v in sorted(target.support_variables())]
     if len(support) > 7:
         return []
-    t_exps = np.array(list(target.terms.keys()), dtype=np.int64)
-    t_coef = np.array([int(c) if c.denominator == 1 else 0
-                       for c in target.terms.values()], dtype=object)
-    if any(c.denominator != 1 for c in target.terms.values()):
-        # rational coefficients: clear denominators first
-        den = 1
-        for c in target.terms.values():
-            den = lcm(den, c.denominator)
-        t_coef = np.array([int(c * den) for c in target.terms.values()],
-                          dtype=object)
-    grid = np.arange(-box, box + 1)
+    den = lcm(*(c.denominator for c in target.terms.values()))
+    coeffs = [int(c * den) for c in target.terms.values()]
+    if sum(map(abs, coeffs)) * box ** target.total_degree() >= 1 << 63:
+        return []
+    grid = np.arange(-box, box + 1, dtype=np.int64)
     pts = np.array(np.meshgrid(*([grid] * len(support)),
                                indexing="ij")).reshape(len(support), -1).T
-    full = np.zeros((pts.shape[0], target.m), dtype=np.int64)
-    for col, v in enumerate(support):
-        full[:, v - 1] = pts[:, col]
-    vals = np.zeros(pts.shape[0], dtype=object)
-    for exps, coeff in zip(t_exps, t_coef):
-        term = np.full(pts.shape[0], int(coeff), dtype=object)
-        for j in range(target.m):
+    powers = [[pts[:, k] ** e for e in range(3)] for k in range(len(support))]
+    vals = np.zeros(len(pts), dtype=np.int64)
+    for exps, c in zip(target.terms, coeffs):
+        term = np.full(len(pts), c, dtype=np.int64)
+        for k, j in enumerate(support):
             if exps[j]:
-                term = term * (full[:, j].astype(object) ** int(exps[j]))
-        vals = vals + term
-    zero_idx = [i for i in range(pts.shape[0])
-                if vals[i] == 0 and full[i].any()]
-    vectors: list[list[Fraction]] = []
-    seen: set[tuple] = set()
-    for i in zero_idx[: cap]:
-        x = full[i]
-        vec = []
-        for exps in problem.basis:
-            v = 1
-            for j in range(target.m):
-                if exps[j]:
-                    v *= int(x[j]) ** int(exps[j])
-            vec.append(Fraction(v))
-        if not any(vec):
-            continue
-        key = tuple(vec)
-        if key in seen:
-            continue
-        seen.add(key)
-        vectors.append(vec)
+                term *= powers[k][exps[j]]
+        vals += term
+    zeros = pts[(vals == 0) & pts.any(axis=1)][:cap]
+    # v(x) for all zeros at once: the basis monomials are multiaffine
+    mask = np.array([[exps[j] for j in support] for exps in problem.basis],
+                    dtype=bool)
+    images = np.where(mask, zeros[:, None, :], 1).prod(axis=2)
+    vectors: list[list[int]] = []
+    seen: set[tuple[int, ...]] = set()
+    for vec in map(tuple, images.tolist()):
+        if any(vec) and vec not in seen:
+            seen.add(vec)
+            vectors.append(list(vec))
     return vectors
 
 
+def _eigenvector_kernel(G: np.ndarray) -> list[list[Fraction]]:
+    """Guessed kernel vectors: the eigenvectors of G whose eigenvalues are
+    below 2 * LOOSE_TOLERANCE, in reduced row echelon form (floats,
+    partial pivoting), each entry rounded with limit_denominator(8).
+
+    A certificate's kernel is often spanned by sparse vectors of small
+    integers, and the near-null space of a loose iterate approximates it.
+    """
+    vals, Q = jacobi_eigh(G)
+    V = Q[:, vals < 2 * LOOSE_TOLERANCE].T.copy()
+    rank = 0
+    for c in range(V.shape[1]):
+        if rank == len(V):
+            break
+        p = rank + int(np.abs(V[rank:, c]).argmax())
+        if abs(V[p, c]) < 1e-6:
+            continue
+        V[[rank, p]] = V[[p, rank]]
+        V[rank] /= V[rank, c]
+        for i in range(len(V)):
+            if i != rank:
+                V[i] -= V[i, c] * V[rank]
+        rank += 1
+    return [[Fraction(float(x)).limit_denominator(8) for x in row]
+            for row in V[:rank]]
+
+
 def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+    Zero entries of the pivot row are skipped when it is scaled and
+    subtracted, which is most of the work on sparse rows."""
     mat = [list(r) for r in rows]
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
@@ -454,11 +422,15 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
         inv = Fraction(1) / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
+        nonzero = [(t, x * inv) for t, x in enumerate(mat[r]) if x]
+        for t, x in nonzero:
+            mat[r][t] = x
         for i in range(nrows):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+            f = mat[i][c]
+            if i != r and f != 0:
+                row = mat[i]
+                for t, x in nonzero:
+                    row[t] -= f * x
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -466,14 +438,15 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     return mat[:r], pivots
 
 
-def _nullspace(rows: list[list[Fraction]], n: int) -> list[list[Fraction]]:
-    """Rational basis of {x : rows @ x = 0} in dimension n."""
-    if not rows:
-        return [[Fraction(i == j) for i in range(n)] for j in range(n)]
-    red, pivots = _rref(rows)
-    free = [c for c in range(n) if c not in pivots]
+def _free_basis(red: list[list[Fraction]], pivots: list[int],
+                n: int) -> list[list[Fraction]]:
+    """Nullspace basis read off a reduced row echelon form with n unknown
+    columns (any later column is ignored): one vector per free column."""
+    pivot_set = set(pivots)
     basis = []
-    for fc in free:
+    for fc in range(n):
+        if fc in pivot_set:
+            continue
         vec = [Fraction(0)] * n
         vec[fc] = Fraction(1)
         for row, pc in zip(red, pivots):
@@ -482,13 +455,18 @@ def _nullspace(rows: list[list[Fraction]], n: int) -> list[list[Fraction]]:
     return basis
 
 
+def _nullspace(rows: list[list[Fraction]], n: int) -> list[list[Fraction]]:
+    """Rational basis of {x : rows @ x = 0} in dimension n."""
+    return _free_basis(*_rref(rows), n)
+
+
 def _affine_projection(C: list[list[Fraction]], b: list[Fraction]
                        ) -> Callable[[list[Fraction]], list[Fraction]] | None:
     """The exact Euclidean projection onto {x : C x = b}, as a function of
     the point x0; None when the system is inconsistent.
 
-    Everything that does not depend on x0 is computed here, once: a
-    particular solution xp (the RREF of [C | b] with the free variables
+    Everything that does not depend on x0 is computed here, once, from
+    one RREF of [C | b]: a particular solution xp (the free variables
     zero), a basis N of the nullspace of C, scaled to integer columns,
     and the inverse of N^T N.  Projecting x0 is then
     xp + N (N^T N)^{-1} N^T (x0 - xp).
@@ -502,7 +480,7 @@ def _affine_projection(C: list[list[Fraction]], b: list[Fraction]
         xp[pc] = row[-1]
     # scaling a column of N leaves the projection unchanged
     N = []
-    for vec in _nullspace(C, ncols):
+    for vec in _free_basis(red, pivots, ncols):
         scale = lcm(*(x.denominator for x in vec))
         N.append([int(x * scale) for x in vec])
     d = len(N)
@@ -512,39 +490,41 @@ def _affine_projection(C: list[list[Fraction]], b: list[Fraction]
     gram = [[sum(x * N[j][t] for t, x in support[i]) for j in range(d)]
             for i in range(d)]
     inv, _ = _rref([gram[i] + [int(i == j) for j in range(d)] for i in range(d)])
-    inv = [row[d:] for row in inv]
+    inv = [[(j, a) for j, a in enumerate(row[d:]) if a] for row in inv]
 
     def project(x0: list[Fraction]) -> list[Fraction]:
         u = [sum(x * (x0[t] - xp[t]) for t, x in nz) for nz in support]
-        z = [sum(a * c for a, c in zip(row, u)) for row in inv]
         out = list(xp)
-        for zi, nz in zip(z, support):
+        for row, nz in zip(inv, support):
+            z = sum(a * u[j] for j, a in row)
             for t, x in nz:
-                out[t] += zi * x
+                out[t] += z * x
         return out
 
     return project
 
 
-def _rationalize_on_face(G: np.ndarray, problem: GramProblem,
-                         kernel: list[list[Fraction]],
-                         bounds: list[int]) -> SosCertificate | None:
-    """Exact rationalization restricted to the kernel's orthocomplement.
+def rationalize_and_verify(G: np.ndarray, problem: GramProblem,
+                           kernel: list[list[Fraction]],
+                           bounds: Iterable[int]) -> SosCertificate | None:
+    """Exact rationalization of G on the face of Gram matrices that vanish
+    on the kernel; returns the first certificate that verifies, or None.
 
-    Writes G = B H B^T with B a rational nullspace basis of the kernel
-    constraints, rounds the induced H at each denominator bound in turn,
-    projects it exactly onto the (consistent by construction) coefficient
-    constraints, and factors; returns the first certificate that verifies.
-    Only the rounding depends on the bound, so everything else is built
-    once.
+    Writes G = B^T H B with the rows of B a rational basis of the kernel's
+    orthogonal complement (the whole space for an empty kernel).  The
+    least-squares H is rounded at each denominator bound in turn,
+    projected exactly onto the coefficient constraints (consistent by
+    construction), factored by `ldlt_psd`, and its certificate terms read
+    off the factors.  Only the rounding depends on the bound, so
+    everything else is built once.
     """
     n = problem.size
-    B = _nullspace(kernel, n)        # columns (as vectors) of the face basis
+    B = _nullspace(kernel, n)        # rows: the face basis
     r = len(B)
     if r == 0:
         return None
-    # rounded float H via least squares: H ~= (B^T B)^{-1} B^T G B (B^T B)^{-1}
-    Bf = np.array([[float(x) for x in col] for col in B], dtype=float).T  # n x r
+    # rounded float H via least squares: H ~= (B B^T)^{-1} B G B^T (B B^T)^{-1}
+    Bf = np.array([[float(x) for x in row] for row in B], dtype=float).T  # n x r
     M = Bf.T @ Bf
     try:
         Minv = np.linalg.inv(M)
@@ -552,19 +532,20 @@ def _rationalize_on_face(G: np.ndarray, problem: GramProblem,
         return None
     Hf = Minv @ (Bf.T @ np.asarray(G, dtype=float) @ Bf) @ Minv
     Hf = (Hf + Hf.T) / 2.0
-    # unknowns: upper triangle of H
+    # unknowns: upper triangle of H; constraints: for each group, the sum
+    # of (B^T H B)[i][j] over its pairs equals rhs, built from the nonzero
+    # entries of B only
     idx = [(p, q) for p in range(r) for q in range(p, r)]
-    # constraints: sum over group pairs of (B H B^T)[i][j] = rhs
+    unknown = {pq: t for t, pq in enumerate(idx)}
+    column = [[(p, B[p][i]) for p in range(r) if B[p][i]] for i in range(n)]
     C: list[list[Fraction]] = []
     b: list[Fraction] = []
     for pairs, rhs in problem.groups:
-        row = [Fraction(0)] * len(idx)
+        row = [0] * len(idx)
         for i, j in pairs:
-            for t, (p, q) in enumerate(idx):
-                coeff = B[p][i] * B[q][j]
-                if p != q:
-                    coeff += B[q][i] * B[p][j]
-                row[t] += coeff
+            for p, x in column[i]:
+                for q, y in column[j]:
+                    row[unknown[min(p, q), max(p, q)]] += x * y
         C.append(row)
         b.append(rhs)
     project = _affine_projection(C, b)
@@ -598,8 +579,6 @@ def _rationalize_on_face(G: np.ndarray, problem: GramProblem,
                 if L[a][k] != 0:
                     q = q + w_polys[perm[a]].scalar_mul(L[a][k])
             terms.append((D[k], q))
-        if not terms:
-            continue
         cert = SosCertificate(terms=tuple(terms), target=problem.target)
         if verify(cert, problem.target):
             return cert
@@ -628,16 +607,36 @@ def _reduced_problem(problem: GramProblem) -> GramProblem | None:
     return GramProblem(target=problem.target, basis=basis, groups=groups)
 
 
+def _face_kernels(G: np.ndarray, problem: GramProblem
+                  ) -> Iterator[list[list[Fraction]]]:
+    """The kernels of the faces to try, in order, each built only when the
+    one before it has failed: the whole space, then the target's integer
+    zeros, then G's near-null eigenvectors.  An empty kernel after the
+    first would repeat the whole space, so it is skipped."""
+    yield []
+    kernel = _integer_zero_kernel(problem)
+    if kernel:
+        yield kernel
+    kernel = _eigenvector_kernel(G)
+    if kernel:
+        yield kernel
+
+
 def search_certificate(target: Polynomial, tolerance: float = 1e-9,
                        max_iterations: int = 50_000,
-                       denominator_bound: int = 1 << 16,
-                       denominator_cap: int = 1 << 32,
                        seed: int = 0) -> SosCertificate | None:
     """End-to-end search; returns an exactly verified certificate or None.
 
-    Runs the float search on the pure-square-reduced problem, tries the
-    direct round-and-repair path at doubling denominator bounds, and falls
-    back to the exact zero-kernel face restriction for boundary targets.
+    Runs the float search on the pure-square-reduced problem to
+    `tolerance` (at most 4,000 iterations) and, if that fails, to
+    `LOOSE_TOLERANCE`: the exact face projection only needs a rough
+    starting point.  The iterate is then rationalized by
+    `rationalize_and_verify` on three faces in a fixed order, each built
+    only when the one before it fails:
+      1. the whole space (empty kernel);
+      2. the kernel of the target's integer zeros;
+      3. the kernel of the iterate's near-null eigenvectors.
+    Each face tries the denominator bounds of `DENOMINATOR_BOUNDS`.
     """
     try:
         problem = build_problem(target)
@@ -648,25 +647,13 @@ def search_certificate(target: Polynomial, tolerance: float = 1e-9,
         return None
     G = search(reduced, tolerance=tolerance,
                max_iterations=min(max_iterations, 4000), seed=seed)
-    loose = None
     if G is None:
-        # keep a best-effort iterate for the kernel fallback; the exact
-        # face projection only needs a rough starting point
-        loose = search(reduced, tolerance=5e-4,
-                       max_iterations=max_iterations, seed=seed)
-        if loose is None:
+        G = search(reduced, tolerance=LOOSE_TOLERANCE,
+                   max_iterations=max_iterations, seed=seed)
+        if G is None:
             return None
-    cand = G if G is not None else loose
-    bounds = []
-    bound = denominator_bound
-    while bound <= denominator_cap:
-        bounds.append(bound)
-        bound *= 4
-    for bound in bounds:
-        cert = rationalize_and_verify(cand, reduced, bound)
+    for kernel in _face_kernels(G, reduced):
+        cert = rationalize_and_verify(G, reduced, kernel, DENOMINATOR_BOUNDS)
         if cert is not None:
             return cert
-    kernel = _integer_zero_kernel(reduced)
-    if kernel:
-        return _rationalize_on_face(cand, reduced, kernel, bounds)
     return None

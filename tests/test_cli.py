@@ -210,6 +210,18 @@ class TestUsageAndHelp:
         assert code == 3
         assert "term 1" in err
 
+    @pytest.mark.parametrize("bound", ["0", "-4", "65536"])
+    def test_denominator_bound_flag_is_a_usage_error(self, capsys, tmp_path,
+                                                     bound):
+        # the search's denominator bounds are fixed; a bound <= 0 once
+        # made the search loop forever
+        poly = tmp_path / "u24.poly"
+        poly.write_text("y3*y3 + y3*y4 + y4*y4")
+        code, out, err = run(capsys, "sos-search", str(poly),
+                             "--denominator-bound", bound)
+        assert code == 3
+        assert out == "" and "--denominator-bound" in err
+
     @pytest.mark.parametrize("cmd", ["catalog", "bases", "minor", "dual",
                                      "iso", "rdiff", "disc", "verify-cert",
                                      "check-hpp", "sos-search", "sample"])

@@ -2,24 +2,27 @@ import ast
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hppcheck import sos_search
 from hppcheck.catalog import entry, resolve_name, uniform
 from hppcheck.certificate import verify
-from hppcheck.polynomial import parse_polynomial
+from hppcheck.polynomial import Polynomial, parse_polynomial
 from hppcheck.rayleigh import rayleigh_diff_multiaffine
-from hppcheck.sos_search import (GramProblemError, _affine_projection,
+from hppcheck.sos_search import (DENOMINATOR_BOUNDS, GramProblemError,
+                                 _affine_projection, _integer_zero_kernel,
                                  _nullspace, _project_affine,
                                  _reduced_problem, _round_robin, _rref,
-                                 build_problem, certificate_from_gram,
-                                 jacobi_eigh, ldlt_psd,
+                                 build_problem, jacobi_eigh, ldlt_psd,
                                  rationalize_and_verify, search,
                                  search_certificate)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hppcheck"
+SHIPPED = ["F7m4", "W3p", "W3pe", "P7p", "nP_d1", "nP_d9", "V8"]
 
 
 def P(text, m=None):
@@ -208,6 +211,91 @@ def test_no_library_eigensolver():
     assert not found
 
 
+def test_one_ldlt_call_site():
+    # one LDL^T-to-terms path: only the face projection factors exactly
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "ldlt_psd" in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None)):
+                    sites.append(f"{path.name}:{getattr(top, 'name', '')}")
+    assert sites == ["sos_search.py:rationalize_and_verify"]
+
+
+def _integer_zero_kernel_object_dtype(problem, box=2, cap=400):
+    """The kernel with the target evaluated in object-dtype arrays, kept as
+    the reference for the int64 evaluation."""
+    target = problem.target
+    support = sorted(target.support_variables())
+    if len(support) > 7:
+        return []
+    den = 1
+    for c in target.terms.values():
+        den = lcm(den, Fraction(c).denominator)
+    t_exps = np.array(list(target.terms.keys()), dtype=np.int64)
+    t_coef = np.array([int(c * den) for c in target.terms.values()],
+                      dtype=object)
+    grid = np.arange(-box, box + 1)
+    pts = np.array(np.meshgrid(*([grid] * len(support)),
+                               indexing="ij")).reshape(len(support), -1).T
+    full = np.zeros((pts.shape[0], target.m), dtype=np.int64)
+    for col, v in enumerate(support):
+        full[:, v - 1] = pts[:, col]
+    vals = np.zeros(pts.shape[0], dtype=object)
+    for exps, coeff in zip(t_exps, t_coef):
+        term = np.full(pts.shape[0], int(coeff), dtype=object)
+        for j in range(target.m):
+            if exps[j]:
+                term = term * (full[:, j].astype(object) ** int(exps[j]))
+        vals = vals + term
+    zero_idx = [i for i in range(pts.shape[0])
+                if vals[i] == 0 and full[i].any()]
+    vectors, seen = [], set()
+    for i in zero_idx[:cap]:
+        x = full[i]
+        vec = []
+        for exps in problem.basis:
+            v = 1
+            for j in range(target.m):
+                if exps[j]:
+                    v *= int(x[j]) ** int(exps[j])
+            vec.append(Fraction(v))
+        if any(vec) and tuple(vec) not in seen:
+            seen.add(tuple(vec))
+            vectors.append(vec)
+    return vectors
+
+
+class TestIntegerZeroKernel:
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_matches_object_dtype(self, name):
+        # same vectors in the same order, on the full and reduced problems
+        problem = build_problem(cert_target(name))
+        for prob in (problem, _reduced_problem(problem)):
+            kernel = _integer_zero_kernel(prob)
+            assert kernel
+            assert kernel == _integer_zero_kernel_object_dtype(prob)
+
+    def test_rational_target(self):
+        # denominators are cleared: 1/2 (y3 - y4)^2 vanishes on y3 == y4
+        prob = build_problem(P("1/2*y3*y3 - y3*y4 + 1/2*y4*y4", 4))
+        kernel = _integer_zero_kernel(prob)
+        assert kernel == [[-2, -2], [-1, -1], [1, 1], [2, 2]]
+        assert kernel == _integer_zero_kernel_object_dtype(prob)
+
+    def test_overflow_bound_gives_no_face(self):
+        # c (y3 - y4)^2 has bound sum |c| * 2^deg = 16 c, which must stay
+        # below 2^63 for the int64 evaluation
+        def square(c):
+            return build_problem(P(f"{c}*y3*y3 - {2 * c}*y3*y4 + {c}*y4*y4", 4))
+        assert _integer_zero_kernel(square(1 << 59)) == []
+        fits = square(1 << 58)
+        assert _integer_zero_kernel(fits) == [[-2, -2], [-1, -1], [1, 1], [2, 2]]
+        assert _integer_zero_kernel(fits) == _integer_zero_kernel_object_dtype(fits)
+
+
 class TestLdlt:
     def test_rejects_indefinite(self):
         A = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
@@ -241,23 +329,36 @@ class TestLdlt:
                     assert lhs == rhs
 
     def test_extraction_identity_on_random_psd(self):
-        # exact LDL^T acceptance implies the weighted squares resum exactly
+        # exact LDL^T acceptance implies the weighted squares resum exactly:
+        # a random rational PSD G is a Gram matrix of y^T G y, so the
+        # whole-space face rounds it back exactly and certifies it with
+        # one term per nonzero pivot
         rng = random.Random(77)
+        m = n = 4
+        y = [Polynomial.variable(m, v) for v in range(1, m + 1)]
+        checked = 0
         for _ in range(10):
-            m = 4
-            prob = build_problem(P("y1*y1 + y2*y2 + y3*y3 + y4*y4"
-                                   " + y1*y2 + y3*y4", 4))
-            n = len(prob.basis)
             L = [[Fraction(rng.randint(-2, 2), rng.randint(1, 3))
                   if j < i else Fraction(i == j) for j in range(n)]
                  for i in range(n)]
             D = [Fraction(rng.randint(0, 4)) for _ in range(n)]
             G = [[sum(L[i][k] * D[k] * L[j][k] for k in range(n))
                   for j in range(n)] for i in range(n)]
-            cert = certificate_from_gram(G, prob)
-            if cert is None:
-                continue     # expansion did not match this random target
-            assert verify(cert, cert.expand()).passed
+            target = Polynomial.zero(m)
+            for i in range(n):
+                for j in range(n):
+                    target = target + (y[i] * y[j]).scalar_mul(G[i][j])
+            if any(G[i][i] == 0 for i in range(n)):
+                continue     # a zero row drops its variable from the basis
+            prob = build_problem(target)
+            Gf = np.array([[float(x) for x in row] for row in G])
+            cert = rationalize_and_verify(Gf, prob, [], DENOMINATOR_BOUNDS)
+            assert cert is not None
+            assert verify(cert, target).passed
+            assert cert.expand(m) == target
+            assert len(cert.terms) == sum(d != 0 for d in ldlt_psd(G)[2])
+            checked += 1
+        assert checked >= 5
 
 
 def _exact(values):
@@ -327,10 +428,11 @@ class TestExactLinearAlgebra:
 
 
 class TestRationalize:
+    # the one rationalization path, on the whole space unless a kernel is given
     def test_u24_by_hand(self):
         prob = build_problem(P("y3*y3 + y3*y4 + y4*y4", 4))
         G = np.array([[1.0, 0.5], [0.5, 1.0]])
-        cert = rationalize_and_verify(G, prob, 1 << 16)
+        cert = rationalize_and_verify(G, prob, [], DENOMINATOR_BOUNDS)
         assert cert is not None
         assert cert.terms == (
             (Fraction(1), P("y3 + 1/2*y4", 4)),
@@ -339,7 +441,7 @@ class TestRationalize:
 
     def test_rank_one_exact(self):
         prob = build_problem(P("y3*y3", 3))
-        cert = rationalize_and_verify(np.array([[1.0]]), prob, 16)
+        cert = rationalize_and_verify(np.array([[1.0]]), prob, [], [16])
         assert cert is not None
         assert cert.terms == ((Fraction(1), P("y3", 3)),)
 
@@ -347,7 +449,17 @@ class TestRationalize:
         # an affine-feasible but indefinite Gram matrix must be rejected
         prob = build_problem(P("y3*y4", 4))
         G = np.array([[0.0, 0.5], [0.5, 0.0]])
-        assert rationalize_and_verify(G, prob, 16) is None
+        assert rationalize_and_verify(G, prob, [], [16]) is None
+
+    def test_kernel_face(self):
+        # (y3 + y4)^2 has the kernel (1, -1); on its face H is 1 x 1
+        prob = build_problem(P("y3*y3 + 2*y3*y4 + y4*y4", 4))
+        G = np.array([[1.01, 0.98], [0.98, 1.02]])
+        cert = rationalize_and_verify(G, prob, [[1, -1]], [16])
+        assert cert is not None
+        assert cert.terms == ((Fraction(1), P("y3 + y4", 4)),)
+        # a kernel that spans everything leaves no face
+        assert rationalize_and_verify(G, prob, [[1, 0], [0, 1]], [16]) is None
 
 
 class TestEndToEnd:
@@ -358,14 +470,29 @@ class TestEndToEnd:
         assert cert is not None
         assert verify(cert, target).passed
 
-    @pytest.mark.parametrize("name", ["W3p", "nP_d9"])
-    def test_rederives_shipped_targets(self, name):
-        # W3p fails the tight phase and succeeds on the integer-zero face
-        # after the loose phase; nP_d9 converges in the tight phase
+    # from an empty store with default options.  The face each target
+    # certifies on: F7m4 and nP_d9 converge in the tight phase and certify
+    # on the whole space (1); W3p, W3pe, P7p and nP_d1 need the loose phase
+    # and the integer-zero face (2); V8 needs the loose phase and the
+    # near-null eigenvector face (3).
+    FACE = {"F7m4": 1, "W3p": 2, "W3pe": 2, "P7p": 2, "nP_d1": 2,
+            "nP_d9": 1, "V8": 3}
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_rederives_shipped_targets(self, name, monkeypatch):
+        face = self.FACE[name]
+        attempts = []
+
+        def counted(*args):
+            attempts.append(args[2])
+            return rationalize_and_verify(*args)
+
+        monkeypatch.setattr(sos_search, "rationalize_and_verify", counted)
         target = cert_target(name)
         cert = search_certificate(target)
         assert cert is not None
         assert verify(cert, target).passed
+        assert len(attempts) == face and all(attempts[1:])
 
     def test_certificate_never_unverified(self):
         # the search returns None rather than an unverifiable certificate
