@@ -56,9 +56,6 @@ class CheckOptions:
     seed: int = 0
     search_tolerance: float = 1e-9
     search_max_iterations: int = 50_000
-    refute_trials: int = 100_000
-    refute_restarts: int = 50
-    refute_steps: int = 500
 
 
 @dataclass
@@ -407,13 +404,8 @@ class StrongRayleighChecker:
     # -- refutation ----------------------------------------------------------
 
     def _falsify(self, M: Matroid) -> dict | None:
-        config = sampler_mod.SampleConfig(
-            mode=sampler_mod.STRONG_RAYLEIGH,
-            trials=self.options.refute_trials,
-            seed=self.options.seed,
-            descent=True,
-            restarts=self.options.refute_restarts,
-            steps=self.options.refute_steps)
+        config = sampler_mod.SampleConfig(mode=sampler_mod.STRONG_RAYLEIGH,
+                                          seed=self.options.seed)
         counter = sampler_mod.falsify(M.basis_polynomial(), config)
         if counter is None:
             return None

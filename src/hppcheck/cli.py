@@ -219,8 +219,13 @@ def _cmd_sample(args) -> int:
             "hpp": sampler_mod.HPP_EVIDENCE,
             "stable": sampler_mod.STABLE_EVIDENCE}[args.mode]
     box = tuple(args.box) if args.box else None
-    config = sampler_mod.SampleConfig(mode=mode, trials=args.trials, box=box,
-                                      seed=args.seed, descent=args.descent)
+    try:
+        config = sampler_mod.SampleConfig(mode=mode, trials=args.trials,
+                                          box=box, seed=args.seed,
+                                          descent=args.descent)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(f"seed: {args.seed}")
     if mode in (sampler_mod.RAYLEIGH, sampler_mod.STRONG_RAYLEIGH):
         counter = sampler_mod.falsify(Z, config)

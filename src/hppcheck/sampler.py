@@ -12,6 +12,7 @@ zero is found.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -45,8 +46,14 @@ class SampleConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        box = self.box or default_box(self.mode)
-        if self.mode == RAYLEIGH and box[0] <= 0:
+        if self.restarts < 0 or self.steps < 0:
+            raise ValueError("restarts and steps must be >= 0")
+        lo, hi = self.bounds()
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"box bounds must be finite, got {lo} {hi}")
+        if lo >= hi:
+            raise ValueError(f"box needs lo < hi, got {lo} {hi}")
+        if self.mode == RAYLEIGH and lo <= 0:
             raise ValueError("RAYLEIGH mode boxes must lie in the open "
                              "positive orthant")
 
@@ -77,32 +84,50 @@ class EvidenceReport:
 
 
 class _CompiledPoly:
-    """Float-evaluable view of a polynomial for vectorized sampling."""
+    """Vectorized evaluation of a polynomial at real or complex points."""
 
     def __init__(self, p: Polynomial):
         self.m = p.m
         items = p.sorted_terms()
-        self.exps = np.array([e for e, _ in items], dtype=np.int64)
+        self.exps = np.array([e for e, _ in items],
+                             dtype=np.int64).reshape(len(items), p.m)
         self.coeffs = np.array([float(c) for _, c in items], dtype=float)
+        # (variable, its exponent column, its degree) for each variable
+        # that occurs
+        self.live = [(j, col, int(col.max()))
+                     for j, col in enumerate(self.exps.T) if col.any()]
+
+    def monomials(self, points: np.ndarray, skip: int = -1) -> np.ndarray:
+        """points: (N, m) -> monomial values (N, T), leaving out variable
+        `skip`.  Each variable's powers come from one (N, degree + 1)
+        table filled by repeated multiplication and gathered by its
+        exponent column; the factors multiply in ascending variable order.
+        Real or complex points."""
+        out = None
+        for j, col, degree in self.live:
+            if j == skip:
+                continue
+            x = points[:, j]
+            table = np.empty((points.shape[0], degree + 1), dtype=points.dtype)
+            table[:, 0] = 1
+            table[:, 1] = x
+            for k in range(2, degree + 1):
+                table[:, k] = table[:, k - 1] * x
+            if out is None:
+                out = table[:, col]
+            else:
+                out *= table[:, col]
+        if out is None:
+            return np.ones((points.shape[0], len(self.coeffs)),
+                           dtype=points.dtype)
+        return out
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         """points: (N, m) -> values: (N,)"""
-        vals = np.ones((points.shape[0], len(self.coeffs)))
-        for j in range(self.m):
-            col = self.exps[:, j]
-            nz = col > 0
-            if nz.any():
-                vals[:, nz] *= points[:, j:j + 1] ** col[nz]
-        return vals @ self.coeffs
+        return self.monomials(points) @ self.coeffs
 
     def eval_one(self, point: np.ndarray) -> float:
-        vals = self.coeffs.copy()
-        for j in range(self.m):
-            col = self.exps[:, j]
-            nz = col > 0
-            if nz.any():
-                vals[nz] *= point[j] ** col[nz]
-        return float(vals.sum())
+        return float((self.monomials(point[None, :]) @ self.coeffs)[0])
 
 
 def _exact_candidate(delta: Polynomial, pair: tuple[int, int],
@@ -119,35 +144,36 @@ def _exact_candidate(delta: Polynomial, pair: tuple[int, int],
     return None
 
 
-def _descend(comp: _CompiledPoly, point: np.ndarray, lo: float, hi: float,
+def _descend(comp: _CompiledPoly, points: np.ndarray, lo: float, hi: float,
              steps: int) -> np.ndarray:
-    """Cyclic coordinate descent; each coordinate update solves the exact
-    one-variable quadratic restriction within the box."""
-    m = comp.m
-    pt = point.copy()
+    """Cyclic coordinate descent from every start, (R, m) points, at once.
+    Each coordinate update solves the exact one-variable quadratic
+    restriction within the box: of lo, hi and the vertex, in that order,
+    the first minimum wins."""
+    pts = np.array(points, dtype=float)
     # per-variable split of terms by that variable's exponent
+    split = [(np.flatnonzero(col == 2), np.flatnonzero(col == 1))
+             for col in comp.exps.T]
     for step in range(steps):
-        j = step % m
-        col = comp.exps[:, j]
-        others = np.ones(len(comp.coeffs))
-        for k in range(m):
-            if k == j:
-                continue
-            ck = comp.exps[:, k]
-            nz = ck > 0
-            if nz.any():
-                others[nz] *= pt[k] ** ck[nz]
+        j = step % comp.m
+        quad, lin = split[j]
+        others = comp.monomials(pts, skip=j)
         others *= comp.coeffs
-        a = others[col == 2].sum()
-        b = others[col == 1].sum()
-        candidates = [lo, hi]
-        if a > 0:
+        # np.take keeps each row contiguous, so a row sums in the same
+        # order as a one-dimensional sum
+        a = np.take(others, quad, axis=1).sum(axis=1)
+        b = np.take(others, lin, axis=1).sum(axis=1)
+        f_lo = a * lo * lo + b * lo
+        f_hi = a * hi * hi + b * hi
+        hi_wins = f_hi < f_lo
+        best = np.where(hi_wins, hi, lo)
+        f_best = np.where(hi_wins, f_hi, f_lo)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             v = -b / (2 * a)
-            if lo < v < hi:
-                candidates.append(v)
-        best = min(candidates, key=lambda t: a * t * t + b * t)
-        pt[j] = best
-    return pt
+            f_v = a * v * v + b * v
+        vertex_wins = (a > 0) & (lo < v) & (v < hi) & (f_v < f_best)
+        pts[:, j] = np.where(vertex_wins, v, best)
+    return pts
 
 
 def falsify(Z: Polynomial, config: SampleConfig) -> Counterexample | None:
@@ -190,9 +216,9 @@ def falsify(Z: Polynomial, config: SampleConfig) -> Counterexample | None:
             starts = [p for _, p in best_points[:config.restarts]]
             while len(starts) < config.restarts:
                 starts.append(rng.uniform(lo, hi, size=m))
-            for start in starts:
-                pt = _descend(comp, np.asarray(start, dtype=float), lo, hi,
-                              config.steps)
+            ends = _descend(comp, starts, lo, hi,
+                            config.steps) if starts else []
+            for pt in ends:
                 if comp.eval_one(pt) < 0:
                     found = _exact_candidate(delta, (e, f), pt)
                     if found is not None:
@@ -226,6 +252,7 @@ def hpp_evidence(Z: Polynomial, config: SampleConfig) -> EvidenceReport:
     lo, hi = config.bounds()
     poslo = max(lo, 0.05)
     m = Z.m
+    comp = _CompiledPoly(Z)
     rng = np.random.default_rng([config.seed, 0])
     comp_min = float("inf")
     arg_min: tuple[complex, ...] = tuple(complex(1, 0) for _ in range(m))
@@ -241,20 +268,21 @@ def hpp_evidence(Z: Polynomial, config: SampleConfig) -> EvidenceReport:
         else:
             pts = sym + 1j * pos
         done += n
-        for row in pts:
-            val = Z.eval_complex(list(row))
-            mod = abs(val)
-            if mod < comp_min:
-                comp_min = mod
-                arg_min = tuple(complex(x) for x in row)
-                if mod == 0.0:
-                    cand = tuple(
-                        (Fraction(float(x.real)).limit_denominator(1 << 20),
-                         Fraction(float(x.imag)).limit_denominator(1 << 20))
-                        for x in row)
-                    re, im = _eval_gaussian(Z, cand)
-                    if re == 0 and im == 0:
-                        exact_zero = cand
+        mods = np.abs(comp.eval_many(pts))
+        mods[np.isnan(mods)] = np.inf   # NaN never wins, as point by point
+        i = int(np.argmin(mods))        # the chunk's first minimum
+        if mods[i] < comp_min:
+            comp_min = float(mods[i])
+            row = pts[i]
+            arg_min = tuple(complex(x) for x in row)
+            if comp_min == 0.0:
+                cand = tuple(
+                    (Fraction(float(x.real)).limit_denominator(1 << 20),
+                     Fraction(float(x.imag)).limit_denominator(1 << 20))
+                    for x in row)
+                re, im = _eval_gaussian(Z, cand)
+                if re == 0 and im == 0:
+                    exact_zero = cand
     return EvidenceReport(mode=config.mode, trials=config.trials,
                           min_modulus=comp_min, point=arg_min,
                           exact_zero=exact_zero)

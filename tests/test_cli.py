@@ -150,6 +150,14 @@ class TestSampleAndSearch:
         assert code == 0
         assert "min |Z|" in out and "no claim" in out
 
+    def test_sample_zero_polynomial_is_refuted(self, capsys, tmp_path):
+        poly = tmp_path / "zero.poly"
+        poly.write_text("0*y1 + 0*y2")
+        code, out, _ = run(capsys, "sample", str(poly), "--mode", "hpp",
+                           "--trials", "100")
+        assert code == 1
+        assert "exact zero found" in out
+
     def test_sos_search_writes_certificate(self, capsys, tmp_path):
         poly = tmp_path / "t.poly"
         poly.write_text("y3*y3 + y3*y4 + y4*y4")
@@ -221,6 +229,23 @@ class TestUsageAndHelp:
                              "--denominator-bound", bound)
         assert code == 3
         assert out == "" and "--denominator-bound" in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--mode", "strong-rayleigh", "--box", "nan", "1"],
+        ["--mode", "rayleigh", "--box", "inf", "inf"],
+        ["--mode", "hpp", "--box", "1", "nan"],
+        ["--mode", "strong-rayleigh", "--box", "5", "1"],
+        ["--mode", "rayleigh", "--box", "-1", "1"],
+        ["--mode", "strong-rayleigh", "--trials", "0"],
+    ], ids=["nan_lo", "inf_box", "hpp_nan_hi", "lo_above_hi",
+            "rayleigh_nonpositive", "zero_trials"])
+    def test_bad_sample_flags_are_a_usage_error(self, capsys, flags):
+        # a non-finite box once ended in an OverflowError traceback with
+        # exit 1, the REFUTED code
+        code, out, err = run(capsys, "sample", "U_2_3", *flags)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("cmd", ["catalog", "bases", "minor", "dual",
                                      "iso", "rdiff", "disc", "verify-cert",

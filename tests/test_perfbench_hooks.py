@@ -11,12 +11,17 @@ MODULES = ("polynomial", "rayleigh", "matroid", "catalog", "certificate",
            "checker", "sos_search", "sampler")
 
 
-def test_trace_hooks_install_and_uninstall():
+def _load():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     modules = {name: importlib.import_module(f"hppcheck.{name}")
                for name in MODULES}
+    return tracing, modules
+
+
+def test_trace_hooks_install_and_uninstall():
+    tracing, modules = _load()
     Matroid = modules["matroid"].Matroid
     original = Matroid.__dict__["canonical_key"]
     tracer = tracing.Tracer()
@@ -26,3 +31,22 @@ def test_trace_hooks_install_and_uninstall():
     finally:
         tracer.uninstall()
     assert Matroid.__dict__["canonical_key"] is original
+
+
+def test_traced_sampler_point_count():
+    # every pair screens `trials` rows with eval_many and checks each
+    # descent end point with eval_one; the descent's own steps are not counted
+    tracing, modules = _load()
+    sampler = modules["sampler"]
+    Z = modules["catalog"].uniform(2, 3).basis_polynomial()
+    trials, restarts = 5000, 7
+    config = sampler.SampleConfig(mode=sampler.STRONG_RAYLEIGH, trials=trials,
+                                  restarts=restarts, steps=40)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(modules)
+        assert sampler.falsify(Z, config) is None
+    finally:
+        tracer.uninstall()
+    pairs = 3
+    assert tracer.counts["sampler.points"] == pairs * (trials + restarts)
