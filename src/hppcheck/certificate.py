@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from hppcheck.polynomial import (Polynomial, format_polynomial,
-                                 parse_polynomial)
+from hppcheck.polynomial import (Polynomial, PolynomialParseError,
+                                 format_polynomial, parse_polynomial)
 
 CERT_SUFFIX = ".cert"
 
@@ -33,7 +33,7 @@ class CertificateParseError(ValueError):
     """Raised on malformed certificate files (includes file context)."""
 
 
-class DuplicateCertificateError(ValueError):
+class DuplicateCertificateError(CertificateParseError):
     """Raised when a store directory defines the same key twice."""
 
 
@@ -156,22 +156,33 @@ def certificate_from_text(text: str, source: str = "<string>") -> SosCertificate
                 f"{source}: term {i + 1}: weight {w} is not positive")
         terms.append((w, q))
     m = max(q.m for _, q in terms)
+    name = payload.get("matroid")
+    if name is not None and not isinstance(name, str):
+        raise CertificateParseError(f"{source}: 'matroid' must be a string")
     pair = payload.get("pair")
     if pair is not None:
-        pair = tuple(int(x) for x in pair)
-        if len(pair) != 2 or pair[0] == pair[1]:
-            raise CertificateParseError(f"{source}: 'pair' must be two distinct indices")
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(type(x) is int and x >= 1 for x in pair)
+                and pair[0] != pair[1]):
+            raise CertificateParseError(
+                f"{source}: 'pair' must be two distinct positive integers")
+        pair = tuple(pair)
         m = max(m, *pair)
     target = payload.get("target")
     if target is not None:
-        target = parse_polynomial(target)
+        if not isinstance(target, str):
+            raise CertificateParseError(f"{source}: 'target' must be a string")
+        try:
+            target = parse_polynomial(target)
+        except PolynomialParseError as exc:
+            raise CertificateParseError(f"{source}: target: {exc}") from exc
         m = max(m, target.m)
     # put every polynomial on the common ground set
     terms = tuple((w, q.padded(m)) for w, q in terms)
     if target is not None:
         target = target.padded(m)
-    return SosCertificate(terms=terms, matroid_name=payload.get("matroid"),
-                          pair=pair, target=target)
+    return SosCertificate(terms=terms, matroid_name=name, pair=pair,
+                          target=target)
 
 
 def format_fraction(x: int | Fraction) -> str:
@@ -210,9 +221,12 @@ class CertificateStore:
 
 
 def load_store(directory: str | os.PathLike) -> CertificateStore:
-    """Load every *.cert file in a directory (sorted order)."""
+    """Load every *.cert file in a directory (sorted order); the
+    directory must exist."""
     store = CertificateStore(source=str(directory))
     root = Path(directory)
+    if not root.is_dir():
+        raise FileNotFoundError(f"no certificate directory {directory}")
     for path in sorted(root.glob(f"*{CERT_SUFFIX}")):
         cert = certificate_from_text(path.read_text(), source=str(path))
         key = cert.key()

@@ -31,13 +31,16 @@ from hppcheck.catalog import catalog_index, entry
 from hppcheck.certificate import (CertificateStore, SosCertificate,
                                  format_fraction, verify)
 from hppcheck.matroid import IsoTable, Matroid
-from hppcheck.polynomial import format_polynomial
+from hppcheck.polynomial import format_polynomial, parse_polynomial
 from hppcheck.rayleigh import rayleigh_diff_multiaffine
 
 PROVED = "PROVED"
 REFUTED = "REFUTED"
 INCONCLUSIVE = "INCONCLUSIVE"
 
+# the ground-set, rank/corank and duality facts are from Choe, Oxley, Sokal
+# and Wagner, "Homogeneous multivariate polynomials with the half-plane
+# property" (2004)
 _PROV_SMALL = "imported fact: every matroid with at most six elements has the HPP"
 _PROV_RANK = "imported fact: every matroid with rank or corank at most two has the HPP"
 _PROV_KNOWN = "imported fact: this catalog matroid is known to have the HPP"
@@ -50,12 +53,9 @@ _LOOP_NOTE = ("variables absent from the polynomial (loops) are treated as "
 
 @dataclass
 class CheckOptions:
-    use_store: bool = True
     search: bool = False
     refute: bool = False
     seed: int = 0
-    search_tolerance: float = 1e-9
-    search_max_iterations: int = 50_000
 
 
 @dataclass
@@ -131,13 +131,28 @@ def _describe_justification(just: dict[str, Any]) -> str:
     return ""
 
 
+def _report(M: Matroid, name: str, verdict: str, justification: dict[str, Any],
+            children: list[dict[str, Any]] | None = None,
+            notes: list[str] | None = None) -> CheckReport:
+    return CheckReport(verdict=verdict, matroid_name=name, m=M.m, rank=M.rank,
+                       num_bases=M.num_bases(), justification=justification,
+                       children=children or [], notes=notes or [])
+
+
+def _counterexample(pair: tuple[int, ...], point: list[Fraction],
+                    value: Fraction) -> dict[str, Any]:
+    return {"kind": "counterexample", "pair": list(pair),
+            "point": [format_fraction(x) for x in point],
+            "value": format_fraction(value)}
+
+
 class StrongRayleighChecker:
     """Runs the recursion, memoized over isomorphism classes of minors.
 
     The memo, the cycle guard and the catalog index are `IsoTable`s:
     isomorphic minors of any size share one report tree, and every catalog
-    match (known facts, duals, certificates) filters one lookup in the
-    index built here.
+    match (known facts, duals, certificates) filters one lookup per matroid
+    in the index built here.
     """
 
     def __init__(self, store: CertificateStore, options: CheckOptions | None = None):
@@ -159,6 +174,57 @@ class StrongRayleighChecker:
                                "own cycle guard")
         return report
 
+    def check_pair_nonnegativity(self, M: Matroid,
+                                 pair: tuple[int, int] | None = None,
+                                 matches: list | None = None) -> dict | None:
+        """Evidence that some (or the given) pair difference is globally
+        nonnegative: a verified store certificate or a searched one.
+
+        `matches` is M's catalog lookup, when the caller already has it.
+        Sampling can never establish nonnegativity, so absence of evidence
+        returns None (INCONCLUSIVE at the call site).
+        """
+        if matches is None:
+            matches = list(self._index.lookup(M))
+        want = tuple(sorted(pair)) if pair is not None else None
+        # the first catalog entry with store pairs whose core is M's class
+        ename, perm = next(((ename, perm) for (ename, dual, _), perm in matches
+                            if not dual and self.store.pairs_for(ename)),
+                           (None, None))
+        if ename is not None:
+            # strip map of the entry: entry label -> core label
+            ent_matroid = entry(ename).matroid
+            _, strip_map = ent_matroid.strip_absent()
+            inv = {p: i + 1 for i, p in enumerate(perm)}
+            for epair in self.store.pairs_for(ename):
+                if not self._verify_entry_pair(ename, epair):
+                    continue
+                # entry pair -> core pair -> M pair via perm inverse
+                m_pair = tuple(sorted(inv[strip_map[x]] for x in epair))
+                if want is not None and want != m_pair:
+                    continue
+                just = {"kind": "certificate", "catalog": ename,
+                        "pair": list(epair), "m_pair": list(m_pair),
+                        "perm": list(perm)}
+                if ent_matroid.loops():
+                    just["note"] = _LOOP_NOTE
+                return just
+        if self.options.search:
+            Z = M.basis_polynomial()
+            pairs = ([want] if want is not None else
+                     [(e, f) for e in range(1, M.m + 1)
+                      for f in range(e + 1, M.m + 1)])
+            for e, f in pairs:
+                target = rayleigh_diff_multiaffine(Z, e, f)
+                cert = sos_mod.search_certificate(target, seed=self.options.seed)
+                if cert is None or not verify(cert, target):
+                    continue
+                return {"kind": "sos_search", "pair": [e, f],
+                        "certificate": {
+                            "terms": [[format_fraction(w), format_polynomial(q)]
+                                      for w, q in cert.terms]}}
+        return None
+
     # -- internals --------------------------------------------------------
 
     def _check(self, M: Matroid, name: str | None = None) -> CheckReport | None:
@@ -167,11 +233,9 @@ class StrongRayleighChecker:
                 return report
             # same isomorphism class, different labels: reuse the stored
             # tree under the witnessing permutation (recorded for replay)
-            return CheckReport(
-                verdict=report.verdict, matroid_name=self._display_name(M, name),
-                m=M.m, rank=M.rank, num_bases=M.num_bases(),
-                justification={"kind": "isomorphic", "perm": list(perm),
-                               "inner": report})
+            return _report(M, self._display_name(M, name), report.verdict,
+                           {"kind": "isomorphic", "perm": list(perm),
+                            "inner": report})
         # a matroid isomorphic to M is being checked further up (a dual_of
         # resolution leading back to its own class)
         if any(self._active.lookup(M)):
@@ -197,11 +261,9 @@ class StrongRayleighChecker:
         if M.num_bases() == 1:
             # checked before the loop/coloop reduction, which would leave
             # an empty ground set
-            return CheckReport(
-                verdict=PROVED, matroid_name=disp, m=M.m, rank=M.rank,
-                num_bases=M.num_bases(),
-                justification={"kind": "base_fact", "fact": "single_basis",
-                               "provenance": _PROV_MONOMIAL})
+            return _report(M, disp, PROVED,
+                           {"kind": "base_fact", "fact": "single_basis",
+                            "provenance": _PROV_MONOMIAL})
 
         loops = M.loops()
         coloops = M.coloops()
@@ -220,61 +282,47 @@ class StrongRayleighChecker:
             if coloops:
                 notes.append("coloop factors y_e*(rest) do not affect "
                              "strong-Rayleighness")
-            return CheckReport(
-                verdict=inner.verdict, matroid_name=disp, m=M.m, rank=M.rank,
-                num_bases=M.num_bases(),
-                justification={"kind": "reduction", "loops": list(loops),
-                               "coloops": list(coloops), "inner": inner},
-                notes=notes)
-
-        base = self._base_fact(M, disp)
-        if base is not None:
-            return base
-
-        dual_res = self._dual_resolution(M, disp)
-        if dual_res is not None:
-            return dual_res
-
-        return self._recursion(M, disp)
-
-    def _base_fact(self, M: Matroid, disp: str) -> CheckReport | None:
-        def report(just: dict[str, Any]) -> CheckReport:
-            return CheckReport(verdict=PROVED, matroid_name=disp, m=M.m,
-                               rank=M.rank, num_bases=M.num_bases(),
-                               justification=just)
+            return _report(M, disp, inner.verdict,
+                           {"kind": "reduction", "loops": list(loops),
+                            "coloops": list(coloops), "inner": inner},
+                           notes=notes)
 
         if M.m <= 6:
-            return report({"kind": "base_fact", "fact": "ground_at_most_6",
-                           "provenance": _PROV_SMALL})
+            return _report(M, disp, PROVED,
+                           {"kind": "base_fact", "fact": "ground_at_most_6",
+                            "provenance": _PROV_SMALL})
         if M.rank <= 2 or M.corank() <= 2:
-            return report({"kind": "base_fact", "fact": "rank_or_corank_at_most_2",
-                           "provenance": _PROV_RANK})
-        for (ename, dual, _), perm in self._index.lookup(M):
-            if entry(ename).known_hpp:
-                return report({"kind": "known_hpp", "catalog": ename,
-                               "perm": list(perm), "dual": dual,
-                               "provenance": (_PROV_KNOWN + "; " + _PROV_DUAL
-                                              if dual else _PROV_KNOWN)})
-        return None
+            return _report(M, disp, PROVED,
+                           {"kind": "base_fact",
+                            "fact": "rank_or_corank_at_most_2",
+                            "provenance": _PROV_RANK})
 
-    def _dual_resolution(self, M: Matroid, disp: str) -> CheckReport | None:
-        """M isomorphic to the dual of a certificated catalog core."""
-        for (ename, dual, core), perm in self._index.lookup(M):
+        # (entry name, dual?, core) and perm of every catalog row matching M
+        matches = list(self._index.lookup(M))
+        for (ename, dual, _), perm in matches:
+            if entry(ename).known_hpp:
+                return _report(M, disp, PROVED,
+                               {"kind": "known_hpp", "catalog": ename,
+                                "perm": list(perm), "dual": dual,
+                                "provenance": (_PROV_KNOWN + "; " + _PROV_DUAL
+                                               if dual else _PROV_KNOWN)})
+        # M isomorphic to the dual of a certificated catalog core
+        for (ename, dual, core), perm in matches:
             if not dual or (not self.store.pairs_for(ename)
                             and entry(ename).cert_pair is None):
                 continue
             inner = self._check(core)
             if inner is None or inner.verdict != PROVED:
                 continue
-            return CheckReport(
-                verdict=PROVED, matroid_name=disp, m=M.m, rank=M.rank,
-                num_bases=M.num_bases(),
-                justification={"kind": "dual_of", "catalog": ename,
-                               "perm": list(perm), "inner": inner,
-                               "provenance": _PROV_DUAL})
-        return None
+            return _report(M, disp, PROVED,
+                           {"kind": "dual_of", "catalog": ename,
+                            "perm": list(perm), "inner": inner,
+                            "provenance": _PROV_DUAL})
 
-    def _recursion(self, M: Matroid, disp: str) -> CheckReport | None:
+        return self._recursion(M, disp, matches)
+
+    def _recursion(self, M: Matroid, disp: str,
+                   matches: list) -> CheckReport | None:
         children: list[dict[str, Any]] = []
         refuted_child: dict[str, Any] | None = None
         inconclusive = False
@@ -290,40 +338,25 @@ class StrongRayleighChecker:
                     inconclusive = True
 
         if refuted_child is not None:
-            lifted = self._lift_counterexample(M, refuted_child)
-            if lifted is not None:
-                return CheckReport(verdict=REFUTED, matroid_name=disp, m=M.m,
-                                   rank=M.rank, num_bases=M.num_bases(),
-                                   justification=lifted, children=children)
-            return CheckReport(
-                verdict=REFUTED, matroid_name=disp, m=M.m, rank=M.rank,
-                num_bases=M.num_bases(),
-                justification={"kind": "minor_refuted",
-                               "op": refuted_child["op"],
-                               "element": refuted_child["element"]},
-                children=children)
+            just = (self._lift_counterexample(M, refuted_child)
+                    or {"kind": "minor_refuted", "op": refuted_child["op"],
+                        "element": refuted_child["element"]})
+            return _report(M, disp, REFUTED, just, children)
 
-        evidence = None
         if not inconclusive:
-            evidence = self._pair_evidence(M)
+            evidence = self.check_pair_nonnegativity(M, matches=matches)
             if evidence is not None:
-                return CheckReport(verdict=PROVED, matroid_name=disp, m=M.m,
-                                   rank=M.rank, num_bases=M.num_bases(),
-                                   justification=evidence, children=children)
+                return _report(M, disp, PROVED, evidence, children)
 
         if self.options.refute:
             counter = self._falsify(M)
             if counter is not None:
-                return CheckReport(verdict=REFUTED, matroid_name=disp, m=M.m,
-                                   rank=M.rank, num_bases=M.num_bases(),
-                                   justification=counter, children=children)
+                return _report(M, disp, REFUTED, counter, children)
 
         reason = ("a minor is inconclusive" if inconclusive else
                   "no pair with certified nonnegativity was found")
-        return CheckReport(verdict=INCONCLUSIVE, matroid_name=disp, m=M.m,
-                           rank=M.rank, num_bases=M.num_bases(),
-                           justification={"kind": "none", "reason": reason},
-                           children=children)
+        return _report(M, disp, INCONCLUSIVE,
+                       {"kind": "none", "reason": reason}, children)
 
     # -- pair nonnegativity -------------------------------------------------
 
@@ -339,68 +372,6 @@ class StrongRayleighChecker:
                 self._verified_entry_pairs[key] = bool(verify(cert, target))
         return self._verified_entry_pairs[key]
 
-    def check_pair_nonnegativity(self, M: Matroid,
-                                 pair: tuple[int, int] | None = None) -> dict | None:
-        """Evidence that some (or the given) pair difference is globally
-        nonnegative: a verified store certificate or a searched one.
-
-        Sampling can never establish nonnegativity, so absence of evidence
-        returns None (INCONCLUSIVE at the call site).
-        """
-        if pair is None:
-            return self._pair_evidence(M)
-        return self._pair_evidence(M, only_pair=pair)
-
-    def _pair_evidence(self, M: Matroid,
-                       only_pair: tuple[int, int] | None = None) -> dict | None:
-        if self.options.use_store:
-            # the first catalog entry with store pairs whose core is M's class
-            resolved = next(((ename, perm) for (ename, dual, _), perm
-                             in self._index.lookup(M)
-                             if not dual and self.store.pairs_for(ename)), None)
-            if resolved is not None:
-                ename, perm = resolved
-                ent = entry(ename)
-                # strip map of the entry: core label -> entry label
-                _, strip_map = ent.matroid.strip_absent()
-                inv_strip = {new: old for old, new in strip_map.items()}
-                for epair in self.store.pairs_for(ename):
-                    if not self._verify_entry_pair(ename, epair):
-                        continue
-                    # entry pair -> core pair -> M pair via perm inverse
-                    core_pair = tuple(sorted(strip_map[x] for x in epair))
-                    inv = {p: i + 1 for i, p in enumerate(perm)}
-                    m_pair = tuple(sorted(inv[x] for x in core_pair))
-                    if only_pair is not None and tuple(sorted(only_pair)) != m_pair:
-                        continue
-                    just = {"kind": "certificate", "catalog": ename,
-                            "pair": list(epair), "m_pair": list(m_pair),
-                            "perm": list(perm)}
-                    if entry(ename).matroid.loops():
-                        just["note"] = _LOOP_NOTE
-                    return just
-        if self.options.search:
-            Z = M.basis_polynomial()
-            pairs = ([tuple(sorted(only_pair))] if only_pair is not None else
-                     [(e, f) for e in range(1, M.m + 1)
-                      for f in range(e + 1, M.m + 1)])
-            for e, f in pairs:
-                target = rayleigh_diff_multiaffine(Z, e, f)
-                cert = sos_mod.search_certificate(
-                    target,
-                    tolerance=self.options.search_tolerance,
-                    max_iterations=self.options.search_max_iterations,
-                    seed=self.options.seed)
-                if cert is None:
-                    continue
-                if not verify(cert, target):
-                    continue
-                return {"kind": "sos_search", "pair": [e, f],
-                        "certificate": {
-                            "terms": [[format_fraction(w), format_polynomial(q)]
-                                      for w, q in cert.terms]}}
-        return None
-
     # -- refutation ----------------------------------------------------------
 
     def _falsify(self, M: Matroid) -> dict | None:
@@ -409,67 +380,30 @@ class StrongRayleighChecker:
         counter = sampler_mod.falsify(M.basis_polynomial(), config)
         if counter is None:
             return None
-        return {"kind": "counterexample", "pair": list(counter.pair),
-                "point": [format_fraction(x) for x in counter.point],
-                "value": format_fraction(counter.value)}
+        return _counterexample(counter.pair, counter.point, counter.value)
 
     def _lift_counterexample(self, M: Matroid, child: dict) -> dict | None:
-        """Turn a refuted minor's counterexample into one for M itself."""
-        rep: CheckReport = child["report"]
-        just = rep.justification
+        """Turn a refuted minor's counterexample into one for M itself.
+
+        The minor's point, with y_e = 0 inserted, is a point of M's
+        difference for a deletion; for a contraction y_e grows until the
+        leading quadratic term dominates.
+        """
+        just = child["report"].justification
         if just.get("kind") != "counterexample":
             return None
         e = child["element"]
-        pair_minor = tuple(just["pair"])
-        point_minor = [Fraction(s) for s in just["point"]]
         # minor labels -> M labels (order-preserving compression around e)
-        def unmap(x: int) -> int:
-            return x if x < e else x + 1
-        pair_m = tuple(sorted(unmap(x) for x in pair_minor))
-        Z = M.basis_polynomial()
-        delta = rayleigh_diff_multiaffine(Z, *pair_m)
-        base_point: list[Fraction] = []
-        it = iter(point_minor)
-        for v in range(1, M.m + 1):
-            base_point.append(Fraction(0) if v == e else next(it))
-        if child["op"] == "delete":
-            value = delta.eval_rational(base_point)
+        pair_m = tuple(sorted(x if x < e else x + 1 for x in just["pair"]))
+        delta = rayleigh_diff_multiaffine(M.basis_polynomial(), *pair_m)
+        point_minor = [Fraction(s) for s in just["point"]]
+        ys = [0] if child["op"] == "delete" else [2 ** k for k in range(128)]
+        for y in ys:
+            point = point_minor[:e - 1] + [Fraction(y)] + point_minor[e - 1:]
+            value = delta.eval_rational(point)
             if value < 0:
-                return {"kind": "counterexample", "pair": list(pair_m),
-                        "point": [format_fraction(x) for x in base_point],
-                        "value": format_fraction(value)}
-            return None
-        # contraction: grow y_e until the leading quadratic term dominates
-        for k in range(0, 128):
-            pt = list(base_point)
-            pt[e - 1] = Fraction(2 ** k)
-            value = delta.eval_rational(pt)
-            if value < 0:
-                return {"kind": "counterexample", "pair": list(pair_m),
-                        "point": [format_fraction(x) for x in pt],
-                        "value": format_fraction(value)}
+                return _counterexample(pair_m, point, value)
         return None
-
-
-def check_strong_rayleigh(M: Matroid, store: CertificateStore,
-                          options: CheckOptions | None = None,
-                          name: str | None = None) -> CheckReport:
-    """Run the full recursive check on a matroid."""
-    return StrongRayleighChecker(store, options).check(M, name=name)
-
-
-def resolve_via_isomorphism(M: Matroid) -> tuple[str, tuple[int, ...]] | None:
-    """Catalog entry (name, permutation) isomorphic to M after stripping
-    the entry's loops, trying direct matches first and then duals.
-
-    The permutation maps elements of M onto the entry's loop-free core.
-    """
-    # a stable sort on the dual flag puts the direct rows first
-    matches = sorted(catalog_index().lookup(M), key=lambda hit: hit[0][1])
-    if not matches:
-        return None
-    (ename, dual, _), perm = matches[0]
-    return (ename + "*" if dual else ename), perm
 
 
 # -- replay ------------------------------------------------------------------
@@ -555,7 +489,6 @@ def replay_report(report: CheckReport, M: Matroid,
                 ent.matroid.basis_polynomial(), *just["pair"])
             return bool(verify(cert, target)) and report.verdict == PROVED
         if kind == "sos_search":
-            from hppcheck.polynomial import parse_polynomial
             pair = tuple(just["pair"])
             target = rayleigh_diff_multiaffine(M.basis_polynomial(), *pair)
             terms = tuple(

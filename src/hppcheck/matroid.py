@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from itertools import combinations
+from math import comb
 from typing import Any, Iterable, Iterator, Sequence
 
 from hppcheck.polynomial import Polynomial
@@ -495,7 +496,7 @@ def matroid_to_text(M: Matroid) -> str:
     are sorted lexicographically.
     """
     bases = [list(b) for b in M.bases()]
-    all_count = _binomial(M.m, M.rank)
+    all_count = comb(M.m, M.rank)
     payload: dict = {}
     if M.name is not None:
         payload["name"] = M.name
@@ -517,31 +518,24 @@ def matroid_from_text(text: str) -> Matroid:
         raise MatroidParseError(f"invalid matroid file: {exc}") from exc
     if not isinstance(payload, dict):
         raise MatroidParseError("matroid file must contain a JSON object")
+    m, rank, name = payload.get("m"), payload.get("rank"), payload.get("name")
+    # JSON true and 2.0 are not integers here (bool is a subclass of int)
+    if type(m) is not int or type(rank) is not int:
+        raise MatroidParseError("invalid matroid file: 'm' and 'rank' must "
+                                "be integers")
+    if name is not None and not isinstance(name, str):
+        raise MatroidParseError("invalid matroid file: 'name' must be a string")
+    key = next((k for k in ("bases", "nonbases") if k in payload), None)
+    if key is None:
+        raise MatroidParseError("matroid file needs either 'bases' or 'nonbases'")
+    subsets = payload[key]
+    if not (isinstance(subsets, list)
+            and all(isinstance(s, list) and all(type(e) is int for e in s)
+                    for s in subsets)):
+        raise MatroidParseError(f"invalid matroid file: '{key}' must be a "
+                                "list of lists of integers")
+    build = Matroid.from_bases if key == "bases" else Matroid.from_nonbases
     try:
-        m = int(payload["m"])
-        rank = int(payload["rank"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MatroidParseError("matroid file needs integer 'm' and 'rank'") from exc
-    name = payload.get("name")
-    try:
-        if "bases" in payload:
-            return Matroid.from_bases(m, rank, payload["bases"], name=name)
-        if "nonbases" in payload:
-            return Matroid.from_nonbases(m, rank, payload["nonbases"], name=name)
-    except TypeError as exc:
-        raise MatroidParseError("matroid file subsets must be lists of "
-                                f"integers: {exc}") from exc
+        return build(m, rank, subsets, name=name)
     except ValueError as exc:
         raise MatroidParseError(f"invalid matroid file: {exc}") from exc
-    raise MatroidParseError("matroid file needs either 'bases' or 'nonbases'")
-
-
-def _binomial(n: int, k: int) -> int:
-    from math import comb
-    return comb(n, k)
-
-
-def minor_relabel_map(m: int, removed: int) -> dict[int, int]:
-    """Order-preserving label map used by delete/contract: {1..m}\\{removed} -> 1..m-1."""
-    return {e: (e if e < removed else e - 1)
-            for e in range(1, m + 1) if e != removed}

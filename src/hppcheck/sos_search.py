@@ -75,13 +75,16 @@ class GramProblem:
 
 
 def build_problem(target: Polynomial) -> GramProblem:
-    """Set up target == v^T G v over the multiaffine monomial basis.
+    """Set up target == v^T G v over a multiaffine monomial basis.
 
     The basis is every multiaffine monomial of half the target degree over
-    the target's support variables.  Requires the target homogeneous of
-    even degree with per-variable degree at most two; a negative
-    pure-square coefficient is immediately infeasible since it pins a
-    diagonal entry of any valid Gram matrix.
+    the target's support variables whose square has a nonzero target
+    coefficient: the square of a multiaffine monomial b arises only as
+    b * b, so a zero coefficient pins G[b, b] = 0, and a PSD G then has a
+    zero row at b.  Requires the target homogeneous of even degree with
+    per-variable degree at most two; a negative pure-square coefficient
+    is immediately infeasible since it pins a diagonal entry of any valid
+    Gram matrix.
     """
     if target.is_zero():
         raise GramProblemError("zero target needs no certificate")
@@ -105,9 +108,11 @@ def build_problem(target: Polynomial) -> GramProblem:
         exps = [0] * m
         for v in subset:
             exps[v - 1] = 1
-        basis.append(tuple(exps))
+        if target.coefficient(tuple(2 * x for x in exps)) != 0:
+            basis.append(tuple(exps))
     if not basis:
-        raise GramProblemError("empty monomial basis")
+        raise GramProblemError("empty monomial basis: no square of a "
+                               "multiaffine monomial is in the target")
 
     by_product: dict[Exponents, list[tuple[int, int]]] = {}
     for i, bi in enumerate(basis):
@@ -585,28 +590,6 @@ def rationalize_and_verify(G: np.ndarray, problem: GramProblem,
     return None
 
 
-def _reduced_problem(problem: GramProblem) -> GramProblem | None:
-    """Drop basis monomials whose pure-square target coefficient is zero."""
-    keep = [i for i, e in enumerate(problem.basis)
-            if problem.target.coefficient(tuple(2 * x for x in e)) != 0]
-    if len(keep) == len(problem.basis):
-        return problem
-    remap = {old: new for new, old in enumerate(keep)}
-    basis = [problem.basis[i] for i in keep]
-    groups = []
-    for pairs, rhs in problem.groups:
-        inside = [(remap[i], remap[j]) for i, j in pairs
-                  if i in remap and j in remap]
-        if not inside:
-            if rhs != 0:
-                return None
-            continue
-        groups.append((inside, rhs))
-    if not basis:
-        return None
-    return GramProblem(target=problem.target, basis=basis, groups=groups)
-
-
 def _face_kernels(G: np.ndarray, problem: GramProblem
                   ) -> Iterator[list[list[Fraction]]]:
     """The kernels of the faces to try, in order, each built only when the
@@ -627,7 +610,7 @@ def search_certificate(target: Polynomial, tolerance: float = 1e-9,
                        seed: int = 0) -> SosCertificate | None:
     """End-to-end search; returns an exactly verified certificate or None.
 
-    Runs the float search on the pure-square-reduced problem to
+    Runs the float search on the problem of `build_problem` to
     `tolerance` (at most 4,000 iterations) and, if that fails, to
     `LOOSE_TOLERANCE`: the exact face projection only needs a rough
     starting point.  The iterate is then rationalized by
@@ -642,18 +625,15 @@ def search_certificate(target: Polynomial, tolerance: float = 1e-9,
         problem = build_problem(target)
     except GramProblemError:
         return None
-    reduced = _reduced_problem(problem)
-    if reduced is None:
-        return None
-    G = search(reduced, tolerance=tolerance,
+    G = search(problem, tolerance=tolerance,
                max_iterations=min(max_iterations, 4000), seed=seed)
     if G is None:
-        G = search(reduced, tolerance=LOOSE_TOLERANCE,
+        G = search(problem, tolerance=LOOSE_TOLERANCE,
                    max_iterations=max_iterations, seed=seed)
         if G is None:
             return None
-    for kernel in _face_kernels(G, reduced):
-        cert = rationalize_and_verify(G, reduced, kernel, DENOMINATOR_BOUNDS)
+    for kernel in _face_kernels(G, problem):
+        cert = rationalize_and_verify(G, problem, kernel, DENOMINATOR_BOUNDS)
         if cert is not None:
             return cert
     return None

@@ -110,8 +110,9 @@ class TestFilesAndStore:
                                            matroid_name="A", pair=(1, 2)))
         (tmp_path / "a.cert").write_text(text)
         (tmp_path / "b.cert").write_text(text)
-        with pytest.raises(DuplicateCertificateError):
+        with pytest.raises(DuplicateCertificateError) as info:
             load_store(tmp_path)
+        assert isinstance(info.value, CertificateParseError)
 
     def test_parse_error_reports_source(self, tmp_path):
         path = tmp_path / "bad.cert"

@@ -6,8 +6,7 @@ import pytest
 from hppcheck.catalog import catalog, entry, resolve_name, uniform
 from hppcheck.certificate import CertificateStore, shipped_store
 from hppcheck.checker import (INCONCLUSIVE, PROVED, REFUTED, CheckOptions,
-                              StrongRayleighChecker, check_strong_rayleigh,
-                              replay_report, resolve_via_isomorphism)
+                              StrongRayleighChecker, replay_report)
 from hppcheck.matroid import Matroid
 from hppcheck.rayleigh import rayleigh_diff_multiaffine
 
@@ -138,13 +137,18 @@ class TestCaseAnalyses:
                 deletion_targets.add(j.get("catalog"))
         assert deletion_targets == {"F7m4", "P7p"}
 
-    def test_resolve_via_isomorphism_examples(self):
-        V8 = resolve_name("V8")
-        for e in range(1, 9):
-            got = resolve_via_isomorphism(V8.contract(e))
-            assert got is not None and got[0] in ("F7m4", "F7m5")
-            got = resolve_via_isomorphism(V8.delete(e))
-            assert got is not None and got[0] in ("F7m4*", "F7m5*")
+    def test_v8_minors_match_catalog_entries(self, shared_checker):
+        # every contraction of V8 is F7m4 or F7m5, every deletion the dual
+        # of one, as the checker's single catalog match per minor records
+        rep = shared_checker.check(resolve_name("V8"), name="V8")
+        for child in rep.children:
+            j = resolved_kind(child["report"]).justification
+            dual = j["kind"] == "dual_of" or j.get("dual", False)
+            name = j["catalog"] + ("*" if dual else "")
+            if child["op"] == "contract":
+                assert name in ("F7m4", "F7m5")
+            else:
+                assert name in ("F7m4*", "F7m5*")
 
 
 class TestVerdictPaths:
@@ -270,7 +274,3 @@ class TestReportOutput:
         rep = shared_checker.check(resolve_name("W3pe"), name="W3pe")
         assert not replay_report(rep, resolve_name("P7p"), store)
 
-
-def test_module_level_entry_point(store):
-    rep = check_strong_rayleigh(uniform(2, 5), store)
-    assert rep.verdict == PROVED

@@ -176,6 +176,22 @@ class TestSampleAndSearch:
         assert code == 1
         assert "infeasible" in err
 
+    def test_sos_search_without_squares_is_infeasible(self, capsys, tmp_path):
+        # no square of a basis monomial occurs in y3*y4, so the Gram
+        # problem has an empty basis
+        poly = tmp_path / "cross.poly"
+        poly.write_text("y3*y4")
+        code, _, err = run(capsys, "sos-search", str(poly))
+        assert code == 1
+        assert err.startswith("infeasible:") and err.count("\n") == 1
+
+    def test_sample_box_in_exponent_notation(self, capsys):
+        argv = ("sample", "U_2_3", "--mode", "strong-rayleigh",
+                "--trials", "2000", "--box")
+        code, out, err = run(capsys, *argv, "-1e3", "1e3")
+        assert code == 0 and err == ""
+        assert (code, out) == run(capsys, *argv, "-1000", "1000")[:2]
+
 
 class TestUsageAndHelp:
     def test_unknown_command(self, capsys):
@@ -202,13 +218,61 @@ class TestUsageAndHelp:
         '{"m": 3, "rank": 1, "bases": [["a"]]}',           # not an integer
         '{"m": 3, "rank": 1, "bases": [[4]]}',             # outside 1..m
         '{"m": 4, "rank": 2, "bases": [[1, 2], [3, 4]]}',  # no basis exchange
-    ], ids=["non_integer", "outside_ground_set", "basis_exchange"])
+        '{"m": 3, "rank": 2, "bases": [[1, 2.5]]}',        # once truncated to 2
+        '{"m": 3, "rank": 1, "bases": [[true]]}',          # once read as 1
+        '{"m": 3.0, "rank": 1, "bases": [[1]]}',           # float m
+        '{"m": 3, "rank": true, "bases": [[1]]}',          # bool rank
+    ], ids=["non_integer", "outside_ground_set", "basis_exchange",
+            "float_element", "bool_element", "float_m", "bool_rank"])
     def test_malformed_subsets_are_a_parse_error(self, capsys, tmp_path, text):
         path = tmp_path / "bad.json"
         path.write_text(text)
         code, _, err = run(capsys, "bases", str(path))
         assert code == 3
         assert "invalid matroid file" in err
+
+    @pytest.mark.parametrize("fields", [
+        {"pair": 5},
+        {"target": 7},
+        {"matroid": 5, "pair": [1, 2]},
+        {"pair": ["a", 2]},
+        {"pair": [1, 1]},
+        {"target": "y3 *"},
+    ], ids=["pair_not_a_list", "target_not_text", "matroid_not_text",
+            "pair_not_integers", "pair_repeated", "target_unparsable"])
+    def test_malformed_certificate_is_a_parse_error(self, capsys, tmp_path,
+                                                    fields):
+        # the first three once ended in a traceback with exit 1, the
+        # FAIL code, and a non-integer pair in exit 4
+        path = tmp_path / "bad.cert"
+        path.write_text(json.dumps(
+            {**fields, "terms": [{"weight": "1", "poly": "y3"}]}))
+        code, out, err = run(capsys, "verify-cert", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and "bad.cert" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("case", ["duplicate_key", "missing_dir",
+                                      "missing_env_dir"])
+    def test_bad_certificate_store_is_a_usage_error(self, capsys, tmp_path,
+                                                    monkeypatch, case):
+        # a missing directory once loaded as an empty store (exit 2) and a
+        # duplicate key exited 4; an existing empty directory stays exit 2
+        argv = ["check-hpp", "F7m4"]
+        if case == "duplicate_key":
+            shipped = (shipped_store_dir() / "f7m4_12.cert").read_text()
+            (tmp_path / "a.cert").write_text(shipped)
+            (tmp_path / "b.cert").write_text(shipped)
+            argv += ["--certs", str(tmp_path)]
+        elif case == "missing_dir":
+            argv += ["--certs", str(tmp_path / "absent")]
+        else:
+            monkeypatch.setenv("HPPCHECK_CERT_DIR", str(tmp_path / "absent"))
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_zero_denominator_weight_is_a_parse_error(self, capsys, tmp_path):
         path = tmp_path / "zero.cert"

@@ -5,8 +5,7 @@ import pytest
 from hppcheck.catalog import catalog, uniform
 from hppcheck.matroid import (BasisExchangeError, DegenerateMinorError,
                               Matroid, MatroidParseError, find_labeling,
-                              matroid_from_text, matroid_to_text,
-                              minor_relabel_map)
+                              matroid_from_text, matroid_to_text)
 from hppcheck.polynomial import parse_polynomial
 from hppcheck.rayleigh import rayleigh_diff_multiaffine
 
@@ -76,9 +75,6 @@ class TestMinorsAndDual:
         M = Matroid.from_bases(3, 2, [(1, 2)])
         with pytest.raises(DegenerateMinorError):
             M.contract(3)
-
-    def test_minor_relabel_map(self):
-        assert minor_relabel_map(5, 3) == {1: 1, 2: 2, 4: 3, 5: 4}
 
     def test_strip_absent(self):
         M = Matroid.from_bases(4, 2, [(1, 3), (3, 4), (1, 4)])

@@ -16,7 +16,7 @@ from hppcheck.rayleigh import rayleigh_diff_multiaffine
 from hppcheck.sos_search import (DENOMINATOR_BOUNDS, GramProblemError,
                                  _affine_projection, _integer_zero_kernel,
                                  _nullspace, _project_affine,
-                                 _reduced_problem, _round_robin, _rref,
+                                 _round_robin, _rref,
                                  build_problem, jacobi_eigh, ldlt_psd,
                                  rationalize_and_verify, search,
                                  search_certificate)
@@ -48,12 +48,32 @@ class TestBuildProblem:
         prob = build_problem(target)
         assert prob.basis == [mono((3,), 4), mono((4,), 4)]
 
-    def test_f7m4_ten_monomials(self):
+    def test_f7m4_eight_monomials(self):
+        # 10 multiaffine quadratics over the 5 support variables; the two
+        # whose squares are absent from the target are left out
         Z = resolve_name("F7m4").basis_polynomial()
         target = rayleigh_diff_multiaffine(Z, 1, 2)
         prob = build_problem(target)
-        assert len(prob.basis) == 10
+        assert len(prob.basis) == 8
         assert all(sum(b) == 2 for b in prob.basis)
+        assert all(target.coefficient(tuple(2 * x for x in b)) != 0
+                   for b in prob.basis)
+
+    @pytest.mark.parametrize("name,size", [
+        ("F7m4", 8), ("W3p", 8), ("W3pe", 9), ("P7p", 8), ("nP_d1", 12),
+        ("nP_d9", 12), ("V8", 16)])
+    def test_shipped_basis_sizes(self, name, size):
+        assert build_problem(cert_target(name)).size == size
+
+    def test_no_square_in_target_rejected(self):
+        # neither y3^2 nor y4^2 occurs, so no basis monomial is kept
+        with pytest.raises(GramProblemError, match="empty monomial basis"):
+            build_problem(P("y3*y4", 4))
+
+    def test_cross_term_outside_basis_rejected(self):
+        # y4 is dropped (no y4^2), so y3*y4 is no product of the basis
+        with pytest.raises(GramProblemError, match="not a product"):
+            build_problem(P("y3*y3 + y3*y4", 4))
 
     def test_negative_pure_square_rejected(self):
         with pytest.raises(GramProblemError):
@@ -86,8 +106,8 @@ class TestSearch:
         assert G is not None and np.allclose(G, [[1.0]])
 
     def test_indefinite_target_fails(self):
-        # y3*y4 alone needs G = [[0, 1/2], [1/2, 0]], which is not PSD
-        prob = build_problem(P("y3*y4", 4))
+        # the only Gram matrix is G = [[1, 2], [2, 1]], which is not PSD
+        prob = build_problem(P("y3*y3 + 4*y3*y4 + y4*y4", 4))
         assert search(prob, max_iterations=300) is None
 
 
@@ -182,14 +202,13 @@ class TestJacobi:
 
     @pytest.mark.parametrize("name", ["W3p", "nP_d9"])
     def test_project_affine_matches_loop(self, name):
-        problem = build_problem(cert_target(name))
+        prob = build_problem(cert_target(name))
         rng = np.random.default_rng(21)
-        for prob in (problem, _reduced_problem(problem)):
-            for _ in range(5):
-                G = rng.normal(size=(prob.size, prob.size))
-                G = (G + G.T) / 2
-                want = _project_affine_loop(G, prob)
-                assert np.abs(_project_affine(G, prob) - want).max() < 1e-12
+        for _ in range(5):
+            G = rng.normal(size=(prob.size, prob.size))
+            G = (G + G.T) / 2
+            want = _project_affine_loop(G, prob)
+            assert np.abs(_project_affine(G, prob) - want).max() < 1e-12
 
 
 def test_no_library_eigensolver():
@@ -271,12 +290,11 @@ def _integer_zero_kernel_object_dtype(problem, box=2, cap=400):
 class TestIntegerZeroKernel:
     @pytest.mark.parametrize("name", SHIPPED)
     def test_matches_object_dtype(self, name):
-        # same vectors in the same order, on the full and reduced problems
-        problem = build_problem(cert_target(name))
-        for prob in (problem, _reduced_problem(problem)):
-            kernel = _integer_zero_kernel(prob)
-            assert kernel
-            assert kernel == _integer_zero_kernel_object_dtype(prob)
+        # same vectors in the same order
+        prob = build_problem(cert_target(name))
+        kernel = _integer_zero_kernel(prob)
+        assert kernel
+        assert kernel == _integer_zero_kernel_object_dtype(prob)
 
     def test_rational_target(self):
         # denominators are cleared: 1/2 (y3 - y4)^2 vanishes on y3 == y4
@@ -447,8 +465,8 @@ class TestRationalize:
 
     def test_psd_loss_returns_none(self):
         # an affine-feasible but indefinite Gram matrix must be rejected
-        prob = build_problem(P("y3*y4", 4))
-        G = np.array([[0.0, 0.5], [0.5, 0.0]])
+        prob = build_problem(P("y3*y3 + 4*y3*y4 + y4*y4", 4))
+        G = np.array([[1.0, 2.0], [2.0, 1.0]])
         assert rationalize_and_verify(G, prob, [], [16]) is None
 
     def test_kernel_face(self):
