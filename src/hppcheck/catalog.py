@@ -193,8 +193,8 @@ def resolve_name(name: str) -> Matroid:
         parts = name.split("_")
         if len(parts) == 3:
             try:
-                r, m = int(parts[1]), int(parts[2])
+                return uniform(int(parts[1]), int(parts[2]), name=name)
             except ValueError:
+                # not integers, or not 0 < r <= m
                 raise KeyError(f"bad uniform matroid name {name!r}")
-            return uniform(r, m, name=name)
     raise KeyError(f"unknown matroid name {name!r}")

@@ -205,9 +205,7 @@ def _cmd_sos_search(args) -> int:
     except GramProblemError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    cert = search_certificate(
-        target, tolerance=args.tolerance, max_iterations=args.max_iterations,
-        seed=args.seed)
+    cert = search_certificate(target, seed=args.seed)
     if cert is None:
         print("no certificate found (this does not prove nonexistence)")
         return EXIT_INCONCLUSIVE
@@ -329,8 +327,6 @@ def build_parser() -> _Parser:
                                           "certificate (exactly re-verified)",
                        epilog=_EPILOG)
     p.add_argument("polyfile", help="catalog name or polynomial file")
-    p.add_argument("--tolerance", type=float, default=1e-9)
-    p.add_argument("--max-iterations", type=int, default=50_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the certificate file here")
     p.set_defaults(func=_cmd_sos_search)

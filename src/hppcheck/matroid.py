@@ -1,10 +1,11 @@
 """Matroids given by an explicit basis family.
 
 A matroid here is a ground set {1..m} together with the set of its bases
-(r-subsets).  Basis exchange is validated on construction.  Loops
-(elements in no basis) are representable; minors relabel the surviving
-elements to 1..m-1 preserving order; contracting a loop or deleting a
-coloop raises rather than silently adjusting rank.
+(r-subsets).  Basis exchange is validated on construction, for at most
+MAX_VALIDATED_BASES bases.  Loops (elements in no basis) are
+representable; minors relabel the surviving elements to 1..m-1
+preserving order; contracting a loop or deleting a coloop raises rather
+than silently adjusting rank.
 
 Also provides isomorphism testing (lexicographically least permutation),
 an isomorphism lookup table (`IsoTable`) that buckets matroids on a cheap
@@ -23,6 +24,10 @@ from typing import Any, Iterable, Iterator, Sequence
 
 from hppcheck.polynomial import Polynomial
 from hppcheck.rayleigh import rayleigh_diff_multiaffine
+
+# basis exchange is checked in time quadratic in the bases (about 1 s at
+# this many); every catalog matroid has at most 126
+MAX_VALIDATED_BASES = 1000
 
 
 class BasisExchangeError(ValueError):
@@ -54,6 +59,12 @@ def _subset_to_mask(subset: Iterable[int], m: int) -> int:
     return mask
 
 
+def _check_validated_size(count: int) -> None:
+    if count > MAX_VALIDATED_BASES:
+        raise ValueError(f"{count} bases is more than the {MAX_VALIDATED_BASES} "
+                         "that basis exchange is checked for")
+
+
 def _mask_to_subset(mask: int) -> tuple[int, ...]:
     out = []
     e = 1
@@ -78,6 +89,8 @@ class Matroid:
         masks = sorted({_subset_to_mask(b, m) for b in bases})
         if not masks:
             raise BasisExchangeError("empty basis family")
+        if validate:
+            _check_validated_size(len(masks))
         for mask in masks:
             if mask.bit_count() != rank:
                 raise ValueError(
@@ -109,6 +122,9 @@ class Matroid:
             if mask.bit_count() != rank:
                 raise ValueError(
                     f"nonbasis {_mask_to_subset(mask)} does not have rank {rank}")
+        if 0 <= rank <= m:
+            # before the r-subsets are listed, which alone can take hours
+            _check_validated_size(comb(m, rank) - len(non))
         bases = [c for c in combinations(range(1, m + 1), rank)
                  if _subset_to_mask(c, m) not in non]
         return cls(m, rank, bases, name=name)

@@ -1,10 +1,10 @@
 """Numerical search for sum-of-squares certificates, exactly re-verified.
 
 Pipeline: build a Gram-matrix problem over a multiaffine monomial basis,
-run alternating projections between the coefficient-matching affine
-subspace and the PSD cone (eigendecompositions via round-robin (Brent–Luk)
-Jacobi rotations, warm-started from the previous iterate's eigenbasis,
-written here, not a library call), then rationalize on a face.
+run one pass of alternating projections between the coefficient-matching
+affine subspace and the PSD cone (round-robin (Brent–Luk) Jacobi
+rotations, warm-started, written here, not a library call) to the first
+iterate within TOLERANCE of the cone, then rationalize on a face.
 
 There is one rationalization path, `rationalize_and_verify`: restrict the
 float Gram matrix to a face {B^T H B} of the PSD cone, round H, project
@@ -38,8 +38,15 @@ from hppcheck.polynomial import Exponents, Polynomial
 
 # the denominator bounds a face's rounded Gram matrix is tried at, in turn
 DENOMINATOR_BOUNDS = tuple(1 << k for k in range(16, 33, 2))
-# tolerance of the loose search; eigenvalues below twice it are near-null
-LOOSE_TOLERANCE = 5e-4
+# the search stops at the first iterate whose minimum eigenvalue is above
+# -TOLERANCE, or after MAX_ITERATIONS; eigenvalues below 2 * TOLERANCE
+# are near-null
+TOLERANCE = 5e-4
+MAX_ITERATIONS = 50_000
+JACOBI_TOLERANCE = 1e-13       # relative off-diagonal norm at convergence
+JACOBI_MAX_SWEEPS = 100
+ZERO_BOX = 2                   # zeros are sought in [-ZERO_BOX, ZERO_BOX]
+ZERO_CAP = 400                 # and at most this many are used
 
 
 class GramProblemError(ValueError):
@@ -56,9 +63,6 @@ class GramProblem:
     @property
     def size(self) -> int:
         return len(self.basis)
-
-    def basis_polynomials(self) -> list[Polynomial]:
-        return [Polynomial(self.target.m, {e: Fraction(1)}) for e in self.basis]
 
     @functools.cached_property
     def affine_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -168,8 +172,7 @@ def _rotation_plan(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
     return tuple(plan)
 
 
-def jacobi_eigh(A: np.ndarray, tol: float = 1e-13,
-                max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
+def jacobi_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix by Jacobi rotations.
 
     Each sweep visits every pair (p, q) once in the round-robin
@@ -189,11 +192,11 @@ def jacobi_eigh(A: np.ndarray, tol: float = 1e-13,
     plan = _rotation_plan(n)
     Q = eye
     with np.errstate(over="ignore"):
-        for _ in range(max_sweeps):
+        for _ in range(JACOBI_MAX_SWEEPS):
             # direct off-diagonal norm; the difference-of-sums form cancels
             # catastrophically once the matrix is nearly diagonal
             off = float(np.sqrt(((A - np.diag(np.diagonal(A))) ** 2).sum()))
-            if off <= tol * scale:
+            if off <= JACOBI_TOLERANCE * scale:
                 break
             for pp, qq, pq, rot, zero in plan:
                 apq = A.take(pq)
@@ -220,12 +223,6 @@ def jacobi_eigh(A: np.ndarray, tol: float = 1e-13,
     return np.diagonal(A).copy(), Q
 
 
-def _reassemble_clipped(vals: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    clipped = np.maximum(vals, 0.0)
-    out = (Q * clipped) @ Q.T
-    return (out + out.T) / 2.0
-
-
 def _project_affine(G: np.ndarray, problem: GramProblem) -> np.ndarray:
     flat, group, size, rhs = problem.affine_index
     entries = G.take(flat)
@@ -236,34 +233,32 @@ def _project_affine(G: np.ndarray, problem: GramProblem) -> np.ndarray:
     return out
 
 
-def search(problem: GramProblem, tolerance: float = 1e-9,
-           max_iterations: int = 50_000, seed: int = 0) -> np.ndarray | None:
+def search(problem: GramProblem, seed: int = 0
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Alternating projections onto {A(G) = coeffs} and the PSD cone.
 
-    Returns an affine-feasible G whose minimum eigenvalue exceeds
-    -tolerance, or None.  Start point and stall jitter are seeded, so runs
-    are reproducible.  Each decomposition is warm-started from the previous
-    iterate's eigenbasis, except on the first iteration and after a jitter.
+    Returns the first affine-feasible iterate G whose minimum eigenvalue
+    exceeds -TOLERANCE, with its eigendecomposition (vals, Q), or None.
+    Start point and stall jitter are seeded, so runs are reproducible.
+    Each decomposition is warm-started from the previous iterate's
+    eigenbasis (the identity on the first iteration and after a jitter).
     """
     n = problem.size
     rng = np.random.default_rng([seed, n])
     G = _project_affine(np.zeros((n, n)), problem)
     best_eig = -np.inf
     stall = 0
-    Q = None
-    for _ in range(max_iterations):
+    Q = np.eye(n)
+    for _ in range(MAX_ITERATIONS):
         # G is affine-feasible here; one decomposition serves both the
-        # convergence test and the PSD projection.  G moves little per
+        # stopping test and the PSD projection.  G moves little per
         # iteration, so in the previous eigenbasis it is nearly diagonal
         # and about one sweep does.
-        if Q is None:
-            vals, Q = jacobi_eigh(G)
-        else:
-            vals, rotation = jacobi_eigh(Q.T @ G @ Q)
-            Q = Q @ rotation
+        vals, rotation = jacobi_eigh(Q.T @ G @ Q)
+        Q = Q @ rotation
         min_eig = float(vals.min())
-        if min_eig > -tolerance:
-            return G
+        if min_eig > -TOLERANCE:
+            return G, vals, Q
         if min_eig > best_eig + 1e-14:
             best_eig = min_eig
             stall = 0
@@ -275,10 +270,10 @@ def search(problem: GramProblem, tolerance: float = 1e-9,
                 G = _project_affine(G + jitter, problem)
                 best_eig = -np.inf
                 stall = 0
-                Q = None
+                Q = np.eye(n)
                 continue
-        P = _reassemble_clipped(vals, Q)
-        G = _project_affine(P, problem)
+        P = (Q * np.maximum(vals, 0.0)) @ Q.T        # the PSD projection
+        G = _project_affine((P + P.T) / 2.0, problem)
     return None
 
 
@@ -343,14 +338,14 @@ def ldlt_psd(A: list[list[Fraction]]) -> tuple[list[int], list[list[Fraction]], 
 # rounds robustly.
 
 
-def _integer_zero_kernel(problem: GramProblem,
-                         box: int = 2, cap: int = 400) -> list[list[int]]:
+def _integer_zero_kernel(problem: GramProblem) -> list[list[int]]:
     """Exact kernel vectors v(x) from the nonzero integer zeros x of the
-    target in [-box, box] over its support variables (at most `cap`).
+    target in [-ZERO_BOX, ZERO_BOX] over its support variables (at most
+    ZERO_CAP).
 
     The target is evaluated exactly in int64 after clearing denominators.
-    A target whose bound sum |c| * box^deg could overflow gets no vectors:
-    that loses a face, never soundness.
+    A target whose bound sum |c| * ZERO_BOX^deg could overflow gets no
+    vectors: that loses a face, never soundness.
     """
     target = problem.target
     support = [v - 1 for v in sorted(target.support_variables())]
@@ -358,9 +353,10 @@ def _integer_zero_kernel(problem: GramProblem,
         return []
     den = lcm(*(c.denominator for c in target.terms.values()))
     coeffs = [int(c * den) for c in target.terms.values()]
-    if sum(map(abs, coeffs)) * box ** target.total_degree() >= 1 << 63:
+    if sum(map(abs, coeffs)) * ZERO_BOX ** target.total_degree() >= 1 << 63:
         return []
-    grid = np.arange(-box, box + 1, dtype=np.int64)
+    # int8 holds the grid and its squares in an eighth of the memory
+    grid = np.arange(-ZERO_BOX, ZERO_BOX + 1, dtype=np.int8)
     pts = np.array(np.meshgrid(*([grid] * len(support)),
                                indexing="ij")).reshape(len(support), -1).T
     powers = [[pts[:, k] ** e for e in range(3)] for k in range(len(support))]
@@ -371,7 +367,7 @@ def _integer_zero_kernel(problem: GramProblem,
             if exps[j]:
                 term *= powers[k][exps[j]]
         vals += term
-    zeros = pts[(vals == 0) & pts.any(axis=1)][:cap]
+    zeros = pts[(vals == 0) & pts.any(axis=1)][:ZERO_CAP]
     # v(x) for all zeros at once: the basis monomials are multiaffine
     mask = np.array([[exps[j] for j in support] for exps in problem.basis],
                     dtype=bool)
@@ -385,16 +381,15 @@ def _integer_zero_kernel(problem: GramProblem,
     return vectors
 
 
-def _eigenvector_kernel(G: np.ndarray) -> list[list[Fraction]]:
-    """Guessed kernel vectors: the eigenvectors of G whose eigenvalues are
-    below 2 * LOOSE_TOLERANCE, in reduced row echelon form (floats,
-    partial pivoting), each entry rounded with limit_denominator(8).
+def _eigenvector_kernel(vals: np.ndarray, Q: np.ndarray) -> list[list[Fraction]]:
+    """Guessed kernel vectors: the eigenvectors of the iterate whose
+    eigenvalues are below 2 * TOLERANCE, in reduced row echelon form
+    (floats, partial pivoting), each entry rounded with limit_denominator(8).
 
     A certificate's kernel is often spanned by sparse vectors of small
     integers, and the near-null space of a loose iterate approximates it.
     """
-    vals, Q = jacobi_eigh(G)
-    V = Q[:, vals < 2 * LOOSE_TOLERANCE].T.copy()
+    V = Q[:, vals < 2 * TOLERANCE].T.copy()
     rank = 0
     for c in range(V.shape[1]):
         if rank == len(V):
@@ -556,14 +551,10 @@ def rationalize_and_verify(G: np.ndarray, problem: GramProblem,
     project = _affine_projection(C, b)
     if project is None:
         return None
-    monos = problem.basis_polynomials()
-    w_polys = []
-    for a in range(r):
-        poly = Polynomial.zero(problem.target.m)
-        for i in range(n):
-            if B[a][i] != 0:
-                poly = poly + monos[i].scalar_mul(B[a][i])
-        w_polys.append(poly)
+    # each row of B as a polynomial: its weights on the basis monomials
+    w_polys = [Polynomial(problem.target.m,
+                          {e: x for e, x in zip(problem.basis, row) if x})
+               for row in B]
     for bound in bounds:
         x0 = [Fraction(float(Hf[p, q])).limit_denominator(bound) for p, q in idx]
         sol = project(x0)
@@ -590,32 +581,30 @@ def rationalize_and_verify(G: np.ndarray, problem: GramProblem,
     return None
 
 
-def _face_kernels(G: np.ndarray, problem: GramProblem
+def _face_kernels(problem: GramProblem, vals: np.ndarray, Q: np.ndarray
                   ) -> Iterator[list[list[Fraction]]]:
     """The kernels of the faces to try, in order, each built only when the
     one before it has failed: the whole space, then the target's integer
-    zeros, then G's near-null eigenvectors.  An empty kernel after the
-    first would repeat the whole space, so it is skipped."""
+    zeros, then the near-null eigenvectors in (vals, Q).  An empty kernel
+    after the first would repeat the whole space, so it is skipped."""
     yield []
     kernel = _integer_zero_kernel(problem)
     if kernel:
         yield kernel
-    kernel = _eigenvector_kernel(G)
+    kernel = _eigenvector_kernel(vals, Q)
     if kernel:
         yield kernel
 
 
-def search_certificate(target: Polynomial, tolerance: float = 1e-9,
-                       max_iterations: int = 50_000,
+def search_certificate(target: Polynomial,
                        seed: int = 0) -> SosCertificate | None:
     """End-to-end search; returns an exactly verified certificate or None.
 
-    Runs the float search on the problem of `build_problem` to
-    `tolerance` (at most 4,000 iterations) and, if that fails, to
-    `LOOSE_TOLERANCE`: the exact face projection only needs a rough
-    starting point.  The iterate is then rationalized by
-    `rationalize_and_verify` on three faces in a fixed order, each built
-    only when the one before it fails:
+    Makes one float pass, `search`, on the problem of `build_problem`: it
+    stops at the first iterate within TOLERANCE of the PSD cone, since the
+    exact face projection only needs a rough starting point.  The iterate
+    is then rationalized by `rationalize_and_verify` on three faces in a
+    fixed order, each built only when the one before it fails:
       1. the whole space (empty kernel);
       2. the kernel of the target's integer zeros;
       3. the kernel of the iterate's near-null eigenvectors.
@@ -625,14 +614,11 @@ def search_certificate(target: Polynomial, tolerance: float = 1e-9,
         problem = build_problem(target)
     except GramProblemError:
         return None
-    G = search(problem, tolerance=tolerance,
-               max_iterations=min(max_iterations, 4000), seed=seed)
-    if G is None:
-        G = search(problem, tolerance=LOOSE_TOLERANCE,
-                   max_iterations=max_iterations, seed=seed)
-        if G is None:
-            return None
-    for kernel in _face_kernels(G, problem):
+    found = search(problem, seed=seed)
+    if found is None:
+        return None
+    G, vals, Q = found
+    for kernel in _face_kernels(problem, vals, Q):
         cert = rationalize_and_verify(G, problem, kernel, DENOMINATOR_BOUNDS)
         if cert is not None:
             return cert

@@ -91,6 +91,9 @@ def test_resolve_name():
     assert resolve_name("U_3_6") == uniform(3, 6)
     with pytest.raises(KeyError):
         resolve_name("U_9")
+    for name in ("U_0_3", "U_4_3"):      # not 0 < r <= m
+        with pytest.raises(KeyError):
+            resolve_name(name)
     with pytest.raises(KeyError):
         resolve_name("F8")
 

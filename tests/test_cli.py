@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 
 import pytest
 
@@ -206,6 +207,11 @@ class TestUsageAndHelp:
 
     def test_unknown_matroid(self, capsys):
         assert run(capsys, "bases", "NOPE")[0] == 3
+        # a U_<r>_<m> name outside 0 < r <= m once exited 4
+        for name in ("U_x_3", "U_0_3", "U_4_3"):
+            code, out, err = run(capsys, "check-hpp", name)
+            assert code == 3 and out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
 
     def test_null_basis_is_a_parse_error(self, capsys, tmp_path):
         path = tmp_path / "null.json"
@@ -213,6 +219,22 @@ class TestUsageAndHelp:
         code, _, err = run(capsys, "bases", str(path))
         assert code == 3
         assert "error:" in err
+
+    @pytest.mark.parametrize("text", [
+        '{"m": 14, "rank": 7, "nonbases": []}',
+        '{"m": 14, "rank": 7, "bases": ' + json.dumps(
+            [list(c) for c in combinations(range(1, 15), 7)]) + '}',
+        '{"m": 40, "rank": 20, "nonbases": []}',
+    ], ids=["3432_nonbases", "3432_bases", "huge_nonbases"])
+    def test_too_many_bases_is_a_usage_error(self, capsys, tmp_path, text):
+        # basis exchange is checked in time quadratic in the bases: 3,432
+        # once took about 15 s, and larger files never ended
+        path = tmp_path / "big.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "bases", str(path))
+        assert code == 3 and out == ""
+        assert err.startswith("error: invalid matroid file:")
+        assert "more than the 1000" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("text", [
         '{"m": 3, "rank": 1, "bases": [["a"]]}',           # not an integer
@@ -293,6 +315,17 @@ class TestUsageAndHelp:
                              "--denominator-bound", bound)
         assert code == 3
         assert out == "" and "--denominator-bound" in err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--tolerance", "1e-9"), ("--max-iterations", "300")])
+    def test_search_tuning_flags_are_a_usage_error(self, capsys, tmp_path,
+                                                   flag, value):
+        # the search has one tolerance and one iteration budget, both fixed
+        poly = tmp_path / "u24.poly"
+        poly.write_text("y3*y3 + y3*y4 + y4*y4")
+        code, out, err = run(capsys, "sos-search", str(poly), flag, value)
+        assert code == 3
+        assert out == "" and flag in err
 
     @pytest.mark.parametrize("flags", [
         ["--mode", "strong-rayleigh", "--box", "nan", "1"],

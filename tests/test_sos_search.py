@@ -95,20 +95,22 @@ class TestBuildProblem:
 class TestSearch:
     def test_u24_gram_matrix(self):
         prob = build_problem(P("y3*y3 + y3*y4 + y4*y4", 4))
-        G = search(prob, seed=0)
-        assert G is not None
+        G, vals, Q = search(prob, seed=0)
         want = np.array([[1.0, 0.5], [0.5, 1.0]])
         assert np.allclose(G, want, atol=1e-6)
+        # the returned decomposition is the iterate's own
+        assert np.linalg.norm((Q * vals) @ Q.T - G) < 1e-10
 
     def test_single_square_immediate(self):
         prob = build_problem(P("y3*y3", 3))
-        G = search(prob)
-        assert G is not None and np.allclose(G, [[1.0]])
+        G, vals, Q = search(prob)
+        assert np.allclose(G, [[1.0]]) and np.allclose(vals, [1.0])
 
-    def test_indefinite_target_fails(self):
+    def test_indefinite_target_fails(self, monkeypatch):
         # the only Gram matrix is G = [[1, 2], [2, 1]], which is not PSD
+        monkeypatch.setattr(sos_search, "MAX_ITERATIONS", 300)
         prob = build_problem(P("y3*y3 + 4*y3*y4 + y4*y4", 4))
-        assert search(prob, max_iterations=300) is None
+        assert search(prob) is None
 
 
 def _project_affine_loop(G, problem):
@@ -230,17 +232,28 @@ def test_no_library_eigensolver():
     assert not found
 
 
-def test_one_ldlt_call_site():
-    # one LDL^T-to-terms path: only the face projection factors exactly
+def _call_sites(name):
+    """`file:top-level definition` of every call to `name` in src/."""
     sites = []
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text(), str(path)).body:
             for node in ast.walk(top):
-                if isinstance(node, ast.Call) and "ldlt_psd" in (
+                if isinstance(node, ast.Call) and name in (
                         getattr(node.func, "id", None),
                         getattr(node.func, "attr", None)):
                     sites.append(f"{path.name}:{getattr(top, 'name', '')}")
-    assert sites == ["sos_search.py:rationalize_and_verify"]
+    return sites
+
+
+def test_one_ldlt_call_site():
+    # one LDL^T-to-terms path: only the face projection factors exactly
+    assert _call_sites("ldlt_psd") == ["sos_search.py:rationalize_and_verify"]
+
+
+def test_one_jacobi_call_site():
+    # one float pass: only the search decomposes, and the faces reuse the
+    # decomposition it returns
+    assert _call_sites("jacobi_eigh") == ["sos_search.py:search"]
 
 
 def _integer_zero_kernel_object_dtype(problem, box=2, cap=400):
@@ -489,12 +502,11 @@ class TestEndToEnd:
         assert verify(cert, target).passed
 
     # from an empty store with default options.  The face each target
-    # certifies on: F7m4 and nP_d9 converge in the tight phase and certify
-    # on the whole space (1); W3p, W3pe, P7p and nP_d1 need the loose phase
-    # and the integer-zero face (2); V8 needs the loose phase and the
-    # near-null eigenvector face (3).
+    # certifies on: F7m4 on the whole space (1); W3p, W3pe, P7p, nP_d1
+    # and nP_d9 on the integer-zero face (2); V8 on the near-null
+    # eigenvector face (3).
     FACE = {"F7m4": 1, "W3p": 2, "W3pe": 2, "P7p": 2, "nP_d1": 2,
-            "nP_d9": 1, "V8": 3}
+            "nP_d9": 2, "V8": 3}
 
     @pytest.mark.parametrize("name", SHIPPED)
     def test_rederives_shipped_targets(self, name, monkeypatch):
@@ -514,5 +526,18 @@ class TestEndToEnd:
 
     def test_certificate_never_unverified(self):
         # the search returns None rather than an unverifiable certificate
-        assert search_certificate(P("y3*y4", 4), max_iterations=300) is None
+        assert search_certificate(P("y3*y4", 4)) is None
         assert search_certificate(P("-1*y3*y3", 3)) is None
+
+    # every pair of two matroids certifies from its first iterate within
+    # TOLERANCE, including seven pairs whose search reaches a 1e-9 iterate
+    # only later (within 4,000 iterations)
+    @pytest.mark.parametrize("name,pair", [
+        (name, pair) for name in ("W3p", "P7pp")
+        for pair in combinations(range(1, 8), 2)])
+    def test_every_pair_certifies(self, name, pair):
+        target = rayleigh_diff_multiaffine(
+            resolve_name(name).basis_polynomial(), *pair)
+        cert = search_certificate(target)
+        assert cert is not None
+        assert verify(cert, target).passed
