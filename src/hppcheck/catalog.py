@@ -8,21 +8,27 @@ re-derived by the test suite; entries without a certificate keep their
 construction labeling.
 
 Uniform matroids are available under names like ``U_2_4`` and are built
-on demand.
+on demand, up to MAX_VALIDATED_BASES bases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
-from hppcheck.matroid import IsoTable, Matroid
+from hppcheck.matroid import MAX_VALIDATED_BASES, IsoTable, Matroid
 
 
 def uniform(rank: int, m: int, name: str | None = None) -> Matroid:
     """The uniform matroid: every rank-subset of {1..m} is a basis."""
     if not 0 < rank <= m:
         raise ValueError(f"uniform matroid needs 0 < rank <= m, got {rank}, {m}")
+    # refused before a subset is listed; C(m, rank) >= m unless rank == m,
+    # so a huge m is refused without computing the binomial
+    if m > MAX_VALIDATED_BASES or comb(m, rank) > MAX_VALIDATED_BASES:
+        raise ValueError(f"more than the {MAX_VALIDATED_BASES} bases or "
+                         "elements that are allowed")
     return Matroid(m, rank, combinations(range(1, m + 1), rank),
                    name=name or f"U_{rank}_{m}", validate=False)
 
@@ -194,7 +200,7 @@ def resolve_name(name: str) -> Matroid:
         if len(parts) == 3:
             try:
                 return uniform(int(parts[1]), int(parts[2]), name=name)
-            except ValueError:
-                # not integers, or not 0 < r <= m
-                raise KeyError(f"bad uniform matroid name {name!r}")
+            except ValueError as exc:
+                # not integers, not 0 < r <= m, or too large
+                raise KeyError(f"bad uniform matroid name {name!r}: {exc}")
     raise KeyError(f"unknown matroid name {name!r}")

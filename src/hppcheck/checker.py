@@ -416,7 +416,31 @@ def replay_report(report: CheckReport, M: Matroid,
     Returns True iff the tree is internally consistent: minors recompute,
     base facts hold, permutations map bases onto bases, certificates
     re-verify exactly, and counterexamples re-evaluate negative.
+
+    The checker shares one subtree among all minors of an isomorphism
+    class, so a node can appear many times in a tree.  Each node is
+    re-checked once per matroid it is claimed for (matroids compared by
+    labelled equality, not isomorphism), and a tree that contains itself
+    replays as False.
     """
+    return _replay(report, M, store, {})
+
+
+def _replay(report: CheckReport, M: Matroid, store: CertificateStore,
+            memo: dict) -> bool:
+    key = (id(report), M)
+    if key in memo:
+        return memo[key][1]
+    # the entry holds the node, so its id is not reused during the call;
+    # it reads False until the node is checked, so a cycle back here fails
+    memo[key] = (report, False)
+    result = _replay_node(report, M, store, memo)
+    memo[key] = (report, result)
+    return result
+
+
+def _replay_node(report: CheckReport, M: Matroid, store: CertificateStore,
+                 memo: dict) -> bool:
     if (report.m, report.rank, report.num_bases) != (M.m, M.rank, M.num_bases()):
         return False
     just = report.justification
@@ -430,7 +454,7 @@ def replay_report(report: CheckReport, M: Matroid,
             rep_matroid = M.relabeled(tuple(just["perm"]))
         except ValueError:
             return False
-        return replay_report(inner, rep_matroid, store)
+        return _replay(inner, rep_matroid, store, memo)
 
     if kind == "reduction":
         reduced = M
@@ -441,7 +465,7 @@ def replay_report(report: CheckReport, M: Matroid,
         inner = just.get("inner")
         if not isinstance(inner, CheckReport) or inner.verdict != report.verdict:
             return False
-        return replay_report(inner, reduced, store)
+        return _replay(inner, reduced, store, memo)
 
     if kind == "base_fact":
         if just["fact"] == "ground_at_most_6":
@@ -468,13 +492,13 @@ def replay_report(report: CheckReport, M: Matroid,
         inner = just.get("inner")
         if not isinstance(inner, CheckReport) or inner.verdict != PROVED:
             return False
-        if not replay_report(inner, core, store):
+        if not _replay(inner, core, store, memo):
             return False
-        return _replay_children(report, M, store)
+        return _replay_children(report, M, store, memo)
 
     if kind in ("certificate", "sos_search", "none", "counterexample",
                 "minor_refuted"):
-        if not _replay_children(report, M, store):
+        if not _replay_children(report, M, store, memo):
             return False
         if kind == "certificate":
             ename = just["catalog"]
@@ -521,7 +545,7 @@ def _perm_maps(M: Matroid, perm: tuple[int, ...], target: Matroid) -> bool:
 
 
 def _replay_children(report: CheckReport, M: Matroid,
-                     store: CertificateStore) -> bool:
+                     store: CertificateStore, memo: dict) -> bool:
     if not report.children:
         return True
     seen: set[tuple[str, int]] = set()
@@ -529,7 +553,7 @@ def _replay_children(report: CheckReport, M: Matroid,
         op, e = child["op"], child["element"]
         seen.add((op, e))
         minor = M.contract(e) if op == "contract" else M.delete(e)
-        if not replay_report(child["report"], minor, store):
+        if not _replay(child["report"], minor, store, memo):
             return False
     expected = {(op, e) for e in range(1, M.m + 1)
                 for op in ("contract", "delete")}

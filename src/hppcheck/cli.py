@@ -3,7 +3,9 @@
 Subcommands wire the catalog, Rayleigh calculus, certificate store,
 checker, SOS search, and sampler into reproducible runs.  Exit codes:
 0 success/PROVED, 1 REFUTED or verification FAIL, 2 INCONCLUSIVE or
-not found, 3 usage or I/O error, 4 computation error.
+not found, 3 usage or I/O error, 4 computation error.  `check-hpp`
+replays its report (`replay_report`) before it prints a verdict; a report
+that does not replay is a computation error.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from hppcheck.certificate import (CertificateParseError, certificate_from_text,
                                   certificate_to_text, load_store,
                                   shipped_store_dir, verify)
 from hppcheck.checker import (CheckOptions, INCONCLUSIVE, PROVED, REFUTED,
-                              StrongRayleighChecker)
+                              StrongRayleighChecker, replay_report)
 from hppcheck.matroid import (DegenerateMinorError, Matroid,
                               MatroidParseError, matroid_from_text,
                               matroid_to_text)
@@ -58,12 +60,11 @@ def _load_matroid(ref: str) -> Matroid:
     """Resolve a catalog name, U_<r>_<m> pattern, or matroid file path."""
     try:
         return catalog_mod.resolve_name(ref)
-    except KeyError:
-        pass
-    path = Path(ref)
-    if path.exists():
-        return matroid_from_text(path.read_text())
-    raise KeyError(f"unknown matroid {ref!r} (not a catalog name or file)")
+    except KeyError as exc:
+        path = Path(ref)
+        if not path.exists():
+            raise KeyError(f"{exc.args[0]}, and no file of that name") from None
+    return matroid_from_text(path.read_text())
 
 
 def _load_polynomial(ref: str) -> Polynomial:
@@ -71,12 +72,11 @@ def _load_polynomial(ref: str) -> Polynomial:
     polynomial, otherwise the file is read in the polynomial grammar."""
     try:
         return catalog_mod.resolve_name(ref).basis_polynomial()
-    except KeyError:
-        pass
-    path = Path(ref)
-    if path.exists():
-        return parse_polynomial(path.read_text())
-    raise KeyError(f"unknown polynomial source {ref!r}")
+    except KeyError as exc:
+        path = Path(ref)
+        if not path.exists():
+            raise KeyError(f"{exc.args[0]}, and no file of that name") from None
+    return parse_polynomial(path.read_text())
 
 
 def _store_from(args) -> "CertificateStore":
@@ -186,6 +186,11 @@ def _cmd_check_hpp(args) -> int:
         print(f"seed: {args.seed}")
     checker = StrongRayleighChecker(store, options)
     report = checker.check(M, name=args.name)
+    # a verdict stands only once its evidence re-checks exactly
+    if not replay_report(report, M, store):
+        print(f"error: the {report.verdict} report does not replay",
+              file=sys.stderr)
+        return EXIT_ERROR
     payload = (json.dumps(report.to_dict(), indent=2)
                if args.format == "structured" else report.render())
     if args.out:

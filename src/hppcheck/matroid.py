@@ -86,11 +86,29 @@ class Matroid:
                  name: str | None = None, validate: bool = True):
         if m < 1:
             raise ValueError("ground set must be nonempty")
-        masks = sorted({_subset_to_mask(b, m) for b in bases})
+        masks = {_subset_to_mask(b, m) for b in bases}
         if not masks:
             raise BasisExchangeError("empty basis family")
         if validate:
             _check_validated_size(len(masks))
+        self._set_masks(m, rank, masks, name)
+        if validate:
+            self._validate_exchange()
+
+    @classmethod
+    def _trusted(cls, m: int, rank: int, masks: Iterable[int],
+                 name: str | None = None) -> Matroid:
+        """Wrap distinct, nonempty basis masks over elements 1..m without
+        validating basis exchange or the ground set; each mask's rank is
+        still checked.  Only the minor, dual and relabeling operations call
+        this; input from outside goes through __init__."""
+        M = object.__new__(cls)
+        M._set_masks(m, rank, masks, name)
+        return M
+
+    def _set_masks(self, m: int, rank: int, masks: Iterable[int],
+                   name: str | None) -> None:
+        masks = sorted(masks)
         for mask in masks:
             if mask.bit_count() != rank:
                 raise ValueError(
@@ -103,8 +121,6 @@ class Matroid:
         self._degrees: tuple[int, ...] | None = None
         self._pair_degrees: dict[tuple[int, int], int] | None = None
         self._canonical = None
-        if validate:
-            self._validate_exchange()
 
     # -- construction -----------------------------------------------------
 
@@ -236,10 +252,9 @@ class Matroid:
         bit = 1 << (e - 1)
         kept = [mask for mask in self._masks if not mask & bit]
         low = bit - 1
-        new = [(mask & low) | ((mask >> 1) & ~low) for mask in kept]
-        return Matroid(self.m - 1, self.rank,
-                       [_mask_to_subset(mask) for mask in new],
-                       validate=False)
+        return Matroid._trusted(
+            self.m - 1, self.rank,
+            [(mask & low) | ((mask >> 1) & ~low) for mask in kept])
 
     def contract(self, e: int) -> Matroid:
         """Contract a non-loop element; survivors are relabeled to 1..m-1."""
@@ -250,16 +265,14 @@ class Matroid:
         bit = 1 << (e - 1)
         kept = [mask ^ bit for mask in self._masks if mask & bit]
         low = bit - 1
-        new = [(mask & low) | ((mask >> 1) & ~low) for mask in kept]
-        return Matroid(self.m - 1, self.rank - 1,
-                       [_mask_to_subset(mask) for mask in new],
-                       validate=False)
+        return Matroid._trusted(
+            self.m - 1, self.rank - 1,
+            [(mask & low) | ((mask >> 1) & ~low) for mask in kept])
 
     def dual(self) -> Matroid:
         full = (1 << self.m) - 1
-        return Matroid(self.m, self.m - self.rank,
-                       [_mask_to_subset(full ^ mask) for mask in self._masks],
-                       validate=False)
+        return Matroid._trusted(self.m, self.m - self.rank,
+                                [full ^ mask for mask in self._masks])
 
     def relabeled(self, perm: Sequence[int]) -> Matroid:
         """Apply a ground-set permutation: element i maps to perm[i-1]."""
@@ -272,9 +285,7 @@ class Matroid:
                 if mask >> i & 1:
                     out |= 1 << (perm[i] - 1)
             new_masks.append(out)
-        return Matroid(self.m, self.rank,
-                       [_mask_to_subset(mask) for mask in new_masks],
-                       validate=False)
+        return Matroid._trusted(self.m, self.rank, new_masks)
 
     def remove_as_loop(self, e: int) -> Matroid:
         """Drop every basis containing e, keeping the labeling (e becomes a loop)."""
@@ -283,9 +294,7 @@ class Matroid:
         kept = [mask for mask in self._masks if not mask & bit]
         if not kept:
             raise DegenerateMinorError(f"element {e} is a coloop; nothing remains")
-        return Matroid(self.m, self.rank,
-                       [_mask_to_subset(mask) for mask in kept],
-                       validate=False)
+        return Matroid._trusted(self.m, self.rank, kept)
 
     def strip_absent(self) -> tuple[Matroid, dict[int, int]]:
         """Remove loops, compressing labels order-preservingly.
@@ -298,10 +307,15 @@ class Matroid:
             return self, {e: e for e in range(1, self.m + 1)}
         survivors = [e for e in range(1, self.m + 1) if e not in loops]
         mapping = {old: new for new, old in enumerate(survivors, start=1)}
-        bases = [tuple(mapping[x] for x in _mask_to_subset(mask))
-                 for mask in self._masks]
-        return Matroid(len(survivors), self.rank, bases, name=self.name,
-                       validate=False), mapping
+        masks = []
+        for mask in self._masks:
+            out = 0
+            for i, old in enumerate(survivors):
+                if mask >> (old - 1) & 1:
+                    out |= 1 << i
+            masks.append(out)
+        return Matroid._trusted(len(survivors), self.rank, masks,
+                                name=self.name), mapping
 
     def _check_element(self, e: int) -> None:
         if not 1 <= e <= self.m:
@@ -310,8 +324,11 @@ class Matroid:
     # -- basis-generating polynomial -----------------------------------------
 
     def basis_polynomial(self) -> Polynomial:
-        return Polynomial.from_monomials(
-            self.m, ((_mask_to_subset(mask), 1) for mask in self._masks))
+        # distinct masks give distinct exponent tuples, each coefficient 1
+        m = self.m
+        return Polynomial._trusted(
+            m, {tuple(mask >> i & 1 for i in range(m)): 1
+                for mask in self._masks})
 
     # -- isomorphism -----------------------------------------------------------
 

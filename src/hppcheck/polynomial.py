@@ -80,8 +80,8 @@ class Polynomial:
         """Wrap terms that are already clean, without checking them: every
         exponent tuple has length m, no coefficient is zero and integral
         ones are int.  The dict is taken over, not copied.  Only the ring
-        operations below call this; input from outside goes through
-        __init__."""
+        operations below and `Matroid.basis_polynomial` call this; input
+        from outside goes through __init__."""
         p = object.__new__(cls)
         p.m = m
         p._terms = terms
@@ -109,23 +109,6 @@ class Polynomial:
         exps = [0] * m
         exps[v - 1] = 1
         return cls(m, {tuple(exps): 1})
-
-    @classmethod
-    def from_monomials(cls, m: int, entries: Iterable[tuple[Iterable[int], Coefficient]]) -> Polynomial:
-        """Build from (variable-index iterable, coefficient) pairs.
-
-        Repeated indices give powers: ([3, 3], 1) is y3*y3.
-        """
-        acc: dict[Exponents, Coefficient] = {}
-        for indices, coeff in entries:
-            exps = [0] * m
-            for v in indices:
-                if not 1 <= v <= m:
-                    raise ValueError(f"variable index {v} outside ground set 1..{m}")
-                exps[v - 1] += 1
-            key = tuple(exps)
-            acc[key] = acc.get(key, 0) + Fraction(coeff)
-        return cls(m, acc)
 
     # -- mapping-like access -------------------------------------------
 

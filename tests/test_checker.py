@@ -1,13 +1,18 @@
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
+from hppcheck import checker as checker_mod
 from hppcheck.catalog import catalog, entry, resolve_name, uniform
-from hppcheck.certificate import CertificateStore, shipped_store
+from hppcheck.certificate import (CertificateStore, SosCertificate,
+                                  shipped_store, verify)
 from hppcheck.checker import (INCONCLUSIVE, PROVED, REFUTED, CheckOptions,
-                              StrongRayleighChecker, replay_report)
+                              CheckReport, StrongRayleighChecker,
+                              replay_report)
 from hppcheck.matroid import Matroid
+from hppcheck.polynomial import parse_polynomial
 from hppcheck.rayleigh import rayleigh_diff_multiaffine
 
 SEVEN = ("F7m4", "W3p", "W3pe", "P7p", "nP_d1", "nP_d9", "V8")
@@ -274,3 +279,287 @@ class TestReportOutput:
         rep = shared_checker.check(resolve_name("W3pe"), name="W3pe")
         assert not replay_report(rep, resolve_name("P7p"), store)
 
+
+
+# -- replay soundness -----------------------------------------------------------
+
+
+def reference_replay(report, M, store):
+    """The unmemoized replay: re-checks every appearance of a shared node.
+
+    Kept as the reference that the memoized `replay_report` must agree
+    with on every tampered tree.  Its relabelings, minors and certificate
+    checks are pure, so they are cached (`_pure`) to keep the many
+    tampered replays fast; every node is still re-checked at every
+    appearance.
+    """
+    if (report.m, report.rank, report.num_bases) != (M.m, M.rank, M.num_bases()):
+        return False
+    just = report.justification
+    kind = just.get("kind")
+
+    if kind == "isomorphic":
+        inner = just.get("inner")
+        if not isinstance(inner, CheckReport) or inner.verdict != report.verdict:
+            return False
+        try:
+            rep_matroid = _pure(M.relabeled, tuple(just["perm"]))
+        except ValueError:
+            return False
+        return reference_replay(inner, rep_matroid, store)
+
+    if kind == "reduction":
+        reduced = M
+        if M.loops():
+            reduced, _ = reduced.strip_absent()
+        for c in sorted(reduced.coloops(), reverse=True):
+            reduced = reduced.contract(c)
+        inner = just.get("inner")
+        if not isinstance(inner, CheckReport) or inner.verdict != report.verdict:
+            return False
+        return reference_replay(inner, reduced, store)
+
+    if kind == "base_fact":
+        if just["fact"] == "ground_at_most_6":
+            return report.verdict == PROVED and M.m <= 6
+        if just["fact"] == "rank_or_corank_at_most_2":
+            return report.verdict == PROVED and (M.rank <= 2 or M.corank() <= 2)
+        if just["fact"] == "single_basis":
+            return report.verdict == PROVED and M.num_bases() == 1
+        return False
+
+    if kind == "known_hpp":
+        ent = entry(just["catalog"])
+        if not ent.known_hpp:
+            return False
+        core, _ = ent.matroid.strip_absent()
+        target = core.dual() if just.get("dual") else core
+        return _reference_perm_maps(M, tuple(just["perm"]), target)
+
+    if kind == "dual_of":
+        ent = entry(just["catalog"])
+        core, _ = ent.matroid.strip_absent()
+        if not _reference_perm_maps(M, tuple(just["perm"]), core.dual()):
+            return False
+        inner = just.get("inner")
+        if not isinstance(inner, CheckReport) or inner.verdict != PROVED:
+            return False
+        if not reference_replay(inner, core, store):
+            return False
+        return _reference_children(report, M, store)
+
+    if kind in ("certificate", "sos_search", "none", "counterexample",
+                "minor_refuted"):
+        if not _reference_children(report, M, store):
+            return False
+        if kind == "certificate":
+            ename = just["catalog"]
+            ent = entry(ename)
+            core, _ = ent.matroid.strip_absent()
+            if not _reference_perm_maps(M, tuple(just["perm"]), core):
+                return False
+            cert = store.lookup(ename, tuple(just["pair"]))
+            if cert is None:
+                return False
+            return (_pure(_verifies_entry_pair, cert, ename, tuple(just["pair"]))
+                    and report.verdict == PROVED)
+        if kind == "sos_search":
+            pair = tuple(just["pair"])
+            target = rayleigh_diff_multiaffine(M.basis_polynomial(), *pair)
+            terms = tuple(
+                (Fraction(w), parse_polynomial(text, M.m))
+                for w, text in just["certificate"]["terms"])
+            cert = SosCertificate(terms=terms)
+            return bool(verify(cert, target)) and report.verdict == PROVED
+        if kind == "counterexample":
+            pair = tuple(just["pair"])
+            point = [Fraction(s) for s in just["point"]]
+            value = Fraction(just["value"])
+            delta = rayleigh_diff_multiaffine(M.basis_polynomial(), *pair)
+            return (report.verdict == REFUTED and value < 0
+                    and delta.eval_rational(point) == value)
+        if kind == "minor_refuted":
+            return report.verdict == REFUTED
+        return report.verdict == INCONCLUSIVE
+
+    return False
+
+
+def _reference_perm_maps(M, perm, target):
+    if len(perm) != M.m or target.m != M.m:
+        return False
+    try:
+        return _pure(M.relabeled, perm) == target
+    except ValueError:
+        return False
+
+
+def _verifies_entry_pair(cert, ename, pair):
+    target = rayleigh_diff_multiaffine(entry(ename).matroid.basis_polynomial(),
+                                       *pair)
+    return bool(verify(cert, target))
+
+
+_PURE_CACHE = {}
+
+
+def _pure(fn, *args):
+    """fn(*args), computed once per (fn, args)."""
+    key = (getattr(fn, "__self__", None), fn.__name__, args)
+    if key not in _PURE_CACHE:
+        _PURE_CACHE[key] = fn(*args)
+    return _PURE_CACHE[key]
+
+
+def _reference_children(report, M, store):
+    if not report.children:
+        return True
+    seen = set()
+    for child in report.children:
+        op, e = child["op"], child["element"]
+        seen.add((op, e))
+        minor = _pure(M.contract if op == "contract" else M.delete, e)
+        if not reference_replay(child["report"], minor, store):
+            return False
+    expected = {(op, e) for e in range(1, M.m + 1)
+                for op in ("contract", "delete")}
+    return seen == expected
+
+
+def distinct_nodes(report):
+    """Every node object of a tree once, in first-visit order."""
+    seen, order, stack = set(), [], [report]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        order.append(node)
+        inner = node.justification.get("inner")
+        if inner is not None:
+            stack.append(inner)
+        stack.extend(child["report"] for child in reversed(node.children))
+    return order
+
+
+_OTHER_VERDICT = {PROVED: INCONCLUSIVE, INCONCLUSIVE: PROVED, REFUTED: PROVED}
+
+
+def tamperings(report):
+    """Tamper with one node at a time, in place, and yield a description
+    of each tampering; the node is restored before the next one."""
+    for i, node in enumerate(distinct_nodes(report)):
+        just = node.justification
+        kind = just.get("kind")
+        verdict = node.verdict
+        node.verdict = _OTHER_VERDICT[verdict]
+        yield ("verdict", i, kind)
+        node.verdict = verdict
+        if "perm" in just:
+            perm = just["perm"]
+            just["perm"] = [perm[1], perm[0]] + perm[2:]
+            yield ("perm", i, kind)
+            just["perm"] = perm
+        if kind == "certificate":
+            pair = just["pair"]
+            for other in ([pair[0], pair[1] + 1], [pair[0] + 1, pair[1]]):
+                just["pair"] = other
+                yield ("pair", i, kind)
+            just["pair"] = pair
+
+
+TAMPER_TREES = [("nP", False), ("nP", True), ("V8", False), ("nP_d9", False)]
+
+
+class TestReplaySoundness:
+    @pytest.mark.parametrize("name,refute", TAMPER_TREES,
+                             ids=[f"{n}{'-refute' if r else ''}"
+                                  for n, r in TAMPER_TREES])
+    def test_tampered_trees_agree_with_reference(self, name, refute, store):
+        M = resolve_name(name)
+        rep = StrongRayleighChecker(
+            store, CheckOptions(refute=refute)).check(M, name=name)
+        assert replay_report(rep, M, store)
+        assert reference_replay(rep, M, store)
+        rejected = {"verdict": 0, "perm": 0, "pair": 0}
+        for what, index, kind in tamperings(rep):
+            memoized = replay_report(rep, M, store)
+            assert memoized == reference_replay(rep, M, store), (what, index, kind)
+            rejected[what] += not memoized
+            # every node is reached, and each kind but known_hpp fixes its
+            # verdict (the known_hpp replay checks only the perm)
+            if what == "verdict" and kind != "known_hpp":
+                assert not memoized, (index, kind)
+        assert rejected["perm"] > 0
+        # the tree is whole again
+        assert replay_report(rep, M, store)
+
+    def test_shared_node_is_checked_per_matroid(self, store):
+        V8 = resolve_name("V8")
+        rep = StrongRayleighChecker(store, CheckOptions()).check(V8, name="V8")
+        kids = {(c["op"], c["element"]): c for c in rep.children}
+        assert V8.contract(1) != V8.contract(2)
+        node = kids[("contract", 2)]["report"]
+        assert node.justification["kind"] == "isomorphic"
+        # the node claimed for V8/2 placed under V8/1 as well: its perm
+        # maps V8/2, not V8/1, onto the shared tree
+        children = [dict(c) for c in rep.children]
+        for c in children:
+            if (c["op"], c["element"]) == ("contract", 1):
+                c["report"] = node
+        forged = dataclasses.replace(rep, children=children)
+        assert not replay_report(forged, V8, store)
+        assert not reference_replay(forged, V8, store)
+
+    def test_shared_node_valid_for_both_matroids(self, store):
+        F7m4 = resolve_name("F7m4")
+        rep = StrongRayleighChecker(store, CheckOptions()).check(F7m4, name="F7m4")
+        # two different contractions with the same shape: one base-fact
+        # node holds for both
+        contractions = {c["element"]: c for c in rep.children
+                        if c["op"] == "contract"}
+        e, f = next((e, f) for e in contractions for f in contractions
+                    if e < f and F7m4.contract(e) != F7m4.contract(f)
+                    and F7m4.contract(e).num_bases()
+                    == F7m4.contract(f).num_bases())
+        node = contractions[e]["report"]
+        children = [dict(c) for c in rep.children]
+        for c in children:
+            if (c["op"], c["element"]) == ("contract", f):
+                c["report"] = node
+        forged = dataclasses.replace(rep, children=children)
+        assert replay_report(forged, F7m4, store)
+        assert reference_replay(forged, F7m4, store)
+
+    def test_self_containing_report_is_rejected(self, store):
+        M = resolve_name("F7m4")
+        identity = list(range(1, M.m + 1))
+        loop = CheckReport(PROVED, "loop", M.m, M.rank, M.num_bases(), {})
+        loop.justification = {"kind": "isomorphic", "perm": identity,
+                              "inner": loop}
+        assert replay_report(loop, M, store) is False
+        # a two-node cycle
+        a = CheckReport(PROVED, "a", M.m, M.rank, M.num_bases(), {})
+        b = CheckReport(PROVED, "b", M.m, M.rank, M.num_bases(),
+                        {"kind": "isomorphic", "perm": identity, "inner": a})
+        a.justification = {"kind": "isomorphic", "perm": identity, "inner": b}
+        assert replay_report(a, M, store) is False
+        with pytest.raises(RecursionError):
+            reference_replay(a, M, store)
+
+    def test_each_certificate_node_verified_once(self, store, monkeypatch):
+        M = resolve_name("nP")
+        rep = StrongRayleighChecker(store, CheckOptions()).check(M, name="nP")
+        cert_nodes = [n for n in distinct_nodes(rep)
+                      if n.justification.get("kind") in ("certificate",
+                                                         "sos_search")]
+        calls = []
+
+        def counting_verify(cert, target):
+            calls.append(cert)
+            return verify(cert, target)
+
+        monkeypatch.setattr(checker_mod, "verify", counting_verify)
+        assert replay_report(rep, M, store)
+        # the unmemoized replay verified a certificate 63 times here
+        assert cert_nodes and len(calls) <= len(cert_nodes)

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from hppcheck.certificate import shipped_store_dir
+from hppcheck import cli
 from hppcheck.cli import build_parser, main
 from hppcheck.matroid import matroid_from_text
 from hppcheck.polynomial import parse_polynomial
@@ -130,6 +131,15 @@ class TestCheckHpp:
         assert code == 0
         assert "verdict: PROVED" in out
 
+    def test_report_that_does_not_replay_is_an_error(self, capsys,
+                                                      monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "replay_report", lambda *args: False)
+        out_path = tmp_path / "report.json"
+        code, out, err = run(capsys, "check-hpp", "V8", "--out", str(out_path))
+        assert code == 4
+        assert "verdict:" not in out and not out_path.exists()
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_custom_cert_dir_empty(self, capsys, tmp_path):
         code, out, _ = run(capsys, "check-hpp", "F7m4", "--certs",
                            str(tmp_path))
@@ -212,6 +222,17 @@ class TestUsageAndHelp:
             code, out, err = run(capsys, "check-hpp", name)
             assert code == 3 and out == ""
             assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [("check-hpp", "U_13_26"),
+                                      ("bases", "U_10_20"),
+                                      ("bases", "U_1001_1001"),
+                                      ("rdiff", "U_2_100000000000", "1", "2")])
+    def test_too_large_uniform_name_is_a_usage_error(self, capsys, argv):
+        # refused before a subset is listed: U_13_26 has 10,400,600 bases
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and "more than the 1000" in err
+        assert err.count("\n") == 1
 
     def test_null_basis_is_a_parse_error(self, capsys, tmp_path):
         path = tmp_path / "null.json"
