@@ -1,8 +1,12 @@
 """Recursive strong-Rayleigh verification for matroid basis polynomials.
 
-A matroid's basis polynomial is strongly Rayleigh iff every one-element
-contraction and deletion is, and some single pair has a globally
-nonnegative Rayleigh difference.  The checker runs that recursion with:
+The recursion is Theorem 3 of Wagner and Wei, "A criterion for the
+half-plane property": fix distinct elements e, f of E; a multiaffine
+polynomial Z in y_E with real coefficients is stable iff d_e Z, Z|_{y_e=0},
+d_f Z and Z|_{y_f=0} are stable and (d_e Z)(d_f Z) - Z (d_e d_f Z) >= 0 on
+R^E.  For a basis polynomial those four belong to M/e, M\\e, M/f and M\\f,
+so one pair settles M: its four minors and exact evidence for its difference.
+The checker runs that recursion with:
 
   * base facts imported from the literature (at most six elements; rank or
     corank at most two; specific catalog matroids known to have the
@@ -10,7 +14,8 @@ nonnegative Rayleigh difference.  The checker runs that recursion with:
   * exact certificate verification (via the certificate store) or exact
     re-verified SOS search for the pair condition;
   * isomorphism resolution against the catalog, including duals (the class
-    is closed under duality), through one catalog index;
+    is closed under minors and duality, so a refuted minor refutes M),
+    through one catalog index;
   * a falsifier producing exact rational counterexamples in refute mode.
 
 PROVED / REFUTED / INCONCLUSIVE are first-class verdicts; sampling never
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Any
 
 from hppcheck import sampler as sampler_mod
@@ -174,56 +180,29 @@ class StrongRayleighChecker:
                                "own cycle guard")
         return report
 
-    def check_pair_nonnegativity(self, M: Matroid,
-                                 pair: tuple[int, int] | None = None,
+    def check_pair_nonnegativity(self, M: Matroid, pair: tuple[int, int],
                                  matches: list | None = None) -> dict | None:
-        """Evidence that some (or the given) pair difference is globally
+        """Evidence that the Rayleigh difference of `pair` is globally
         nonnegative: a verified store certificate or a searched one.
 
         `matches` is M's catalog lookup, when the caller already has it.
         Sampling can never establish nonnegativity, so absence of evidence
-        returns None (INCONCLUSIVE at the call site).
+        returns None.
         """
         if matches is None:
             matches = list(self._index.lookup(M))
-        want = tuple(sorted(pair)) if pair is not None else None
-        # the first catalog entry with store pairs whose core is M's class
-        ename, perm = next(((ename, perm) for (ename, dual, _), perm in matches
-                            if not dual and self.store.pairs_for(ename)),
-                           (None, None))
-        if ename is not None:
-            # strip map of the entry: entry label -> core label
-            ent_matroid = entry(ename).matroid
-            _, strip_map = ent_matroid.strip_absent()
-            inv = {p: i + 1 for i, p in enumerate(perm)}
-            for epair in self.store.pairs_for(ename):
-                if not self._verify_entry_pair(ename, epair):
-                    continue
-                # entry pair -> core pair -> M pair via perm inverse
-                m_pair = tuple(sorted(inv[strip_map[x]] for x in epair))
-                if want is not None and want != m_pair:
-                    continue
-                just = {"kind": "certificate", "catalog": ename,
-                        "pair": list(epair), "m_pair": list(m_pair),
-                        "perm": list(perm)}
-                if ent_matroid.loops():
-                    just["note"] = _LOOP_NOTE
-                return just
-        if self.options.search:
-            Z = M.basis_polynomial()
-            pairs = ([want] if want is not None else
-                     [(e, f) for e in range(1, M.m + 1)
-                      for f in range(e + 1, M.m + 1)])
-            for e, f in pairs:
-                target = rayleigh_diff_multiaffine(Z, e, f)
-                cert = sos_mod.search_certificate(target, seed=self.options.seed)
-                if cert is None or not verify(cert, target):
-                    continue
-                return {"kind": "sos_search", "pair": [e, f],
-                        "certificate": {
-                            "terms": [[format_fraction(w), format_polynomial(q)]
-                                      for w, q in cert.terms]}}
-        return None
+        e, f = sorted(pair)
+        just = self._certified_pairs(M, matches).get((e, f))
+        if just is not None or not self.options.search:
+            return just
+        target = rayleigh_diff_multiaffine(M.basis_polynomial(), e, f)
+        cert = sos_mod.search_certificate(target, seed=self.options.seed)
+        if cert is None or not verify(cert, target):
+            return None
+        return {"kind": "sos_search", "pair": [e, f],
+                "certificate": {
+                    "terms": [[format_fraction(w), format_polynomial(q)]
+                              for w, q in cert.terms]}}
 
     # -- internals --------------------------------------------------------
 
@@ -323,53 +302,76 @@ class StrongRayleighChecker:
 
     def _recursion(self, M: Matroid, disp: str,
                    matches: list) -> CheckReport | None:
-        children: list[dict[str, Any]] = []
-        refuted_child: dict[str, Any] | None = None
-        inconclusive = False
-        for e in range(1, M.m + 1):
-            for op, minor in (("contract", M.contract(e)), ("delete", M.delete(e))):
-                rep = self._check(minor)
-                if rep is None:
-                    return None
-                children.append({"op": op, "element": e, "report": rep})
-                if rep.verdict == REFUTED and refuted_child is None:
-                    refuted_child = children[-1]
-                elif rep.verdict != PROVED:
-                    inconclusive = True
+        """Theorem 3, one pair at a time: store pairs first, then every
+        other pair in lexicographic order.  The four minors of each pair
+        are checked (once per call); a refuted one refutes M, and four
+        PROVED minors with evidence for the pair prove it."""
+        certified = self._certified_pairs(M, matches)
+        pairs = list(certified) + [p for p in combinations(range(1, M.m + 1), 2)
+                                   if p not in certified]
+        minors: dict[tuple[str, int], dict[str, Any]] = {}
+        for pair in pairs:
+            four = []
+            for e in pair:
+                for op in ("contract", "delete"):
+                    child = minors.get((op, e))
+                    if child is None:
+                        rep = self._check(M.contract(e) if op == "contract"
+                                          else M.delete(e))
+                        if rep is None:
+                            return None
+                        child = {"op": op, "element": e, "report": rep}
+                        minors[(op, e)] = child
+                        if rep.verdict == REFUTED:
+                            just = (self._lift_counterexample(M, child)
+                                    or {"kind": "minor_refuted", "op": op,
+                                        "element": e})
+                            return _report(M, disp, REFUTED, just,
+                                           list(minors.values()))
+                    four.append(child)
+            if all(c["report"].verdict == PROVED for c in four):
+                evidence = self.check_pair_nonnegativity(M, pair, matches)
+                if evidence is not None:
+                    return _report(M, disp, PROVED, evidence, four)
 
-        if refuted_child is not None:
-            just = (self._lift_counterexample(M, refuted_child)
-                    or {"kind": "minor_refuted", "op": refuted_child["op"],
-                        "element": refuted_child["element"]})
-            return _report(M, disp, REFUTED, just, children)
-
-        if not inconclusive:
-            evidence = self.check_pair_nonnegativity(M, matches=matches)
-            if evidence is not None:
-                return _report(M, disp, PROVED, evidence, children)
-
-        if self.options.refute:
-            counter = self._falsify(M)
-            if counter is not None:
-                return _report(M, disp, REFUTED, counter, children)
-
-        reason = ("a minor is inconclusive" if inconclusive else
-                  "no pair with certified nonnegativity was found")
+        counter = self._falsify(M) if self.options.refute else None
+        if counter is not None:
+            return _report(M, disp, REFUTED, counter, list(minors.values()))
         return _report(M, disp, INCONCLUSIVE,
-                       {"kind": "none", "reason": reason}, children)
+                       {"kind": "none",
+                        "reason": "no pair with certified nonnegativity was found"},
+                       list(minors.values()))
 
     # -- pair nonnegativity -------------------------------------------------
+
+    def _certified_pairs(self, M: Matroid,
+                         matches: list) -> dict[tuple[int, int], dict]:
+        """M's pairs (in M's labels, store order) with a verified store
+        certificate, each mapped to its justification."""
+        # the first catalog entry with store pairs whose core is M's class
+        ename, perm = next(((ename, perm) for (ename, dual, _), perm in matches
+                            if not dual and self.store.pairs_for(ename)),
+                           (None, None))
+        if ename is None:
+            return {}
+        out = {}
+        for epair in self.store.pairs_for(ename):
+            if not self._verify_entry_pair(ename, epair):
+                continue
+            m_pair = _entry_pair_in_m(ename, perm, epair)
+            just = {"kind": "certificate", "catalog": ename,
+                    "pair": list(epair), "m_pair": list(m_pair),
+                    "perm": list(perm)}
+            if entry(ename).matroid.loops():
+                just["note"] = _LOOP_NOTE
+            out[m_pair] = just
+        return out
 
     def _verify_entry_pair(self, ename: str, pair: tuple[int, int]) -> bool:
         key = (ename, tuple(sorted(pair)))
         if key not in self._verified_entry_pairs:
-            cert = self.store.lookup(ename, pair)
-            if cert is None:
-                self._verified_entry_pairs[key] = False
-            else:
-                mat = entry(ename).matroid
-                target = rayleigh_diff_multiaffine(mat.basis_polynomial(), *pair)
-                self._verified_entry_pairs[key] = bool(verify(cert, target))
+            self._verified_entry_pairs[key] = _entry_certificate_verifies(
+                self.store, ename, pair)
         return self._verified_entry_pairs[key]
 
     # -- refutation ----------------------------------------------------------
@@ -415,7 +417,11 @@ def replay_report(report: CheckReport, M: Matroid,
 
     Returns True iff the tree is internally consistent: minors recompute,
     base facts hold, permutations map bases onto bases, certificates
-    re-verify exactly, and counterexamples re-evaluate negative.
+    re-verify exactly, and counterexamples re-evaluate negative.  Each
+    verdict must follow from its evidence: a PROVED node with pair
+    evidence lists exactly the four minors of its pair, all PROVED; a
+    `known_hpp` node is PROVED; a `minor_refuted` node lists its named
+    minor, REFUTED.
 
     The checker shares one subtree among all minors of an isomorphism
     class, so a node can appear many times in a tree.  Each node is
@@ -478,7 +484,7 @@ def _replay_node(report: CheckReport, M: Matroid, store: CertificateStore,
 
     if kind == "known_hpp":
         ent = entry(just["catalog"])
-        if not ent.known_hpp:
+        if report.verdict != PROVED or not ent.known_hpp:
             return False
         core, _ = ent.matroid.strip_absent()
         target = core.dual() if just.get("dual") else core
@@ -496,30 +502,31 @@ def _replay_node(report: CheckReport, M: Matroid, store: CertificateStore,
             return False
         return _replay_children(report, M, store, memo)
 
-    if kind in ("certificate", "sos_search", "none", "counterexample",
-                "minor_refuted"):
-        if not _replay_children(report, M, store, memo):
-            return False
+    if kind in ("certificate", "sos_search"):
+        pair = tuple(just["pair"])
         if kind == "certificate":
-            ename = just["catalog"]
-            ent = entry(ename)
-            core, strip_map = ent.matroid.strip_absent()
+            # M's pair, recomputed from the entry pair (never from m_pair)
+            core, _ = entry(just["catalog"]).matroid.strip_absent()
             if not _perm_maps(M, tuple(just["perm"]), core):
                 return False
-            cert = store.lookup(ename, tuple(just["pair"]))
-            if cert is None:
+            try:
+                pair = _entry_pair_in_m(just["catalog"], just["perm"], pair)
+            except KeyError:
                 return False
-            target = rayleigh_diff_multiaffine(
-                ent.matroid.basis_polynomial(), *just["pair"])
-            return bool(verify(cert, target)) and report.verdict == PROVED
-        if kind == "sos_search":
-            pair = tuple(just["pair"])
-            target = rayleigh_diff_multiaffine(M.basis_polynomial(), *pair)
-            terms = tuple(
-                (Fraction(w), parse_polynomial(text, M.m))
-                for w, text in just["certificate"]["terms"])
-            cert = SosCertificate(terms=terms)
-            return bool(verify(cert, target)) and report.verdict == PROVED
+        if (report.verdict != PROVED
+                or not _replay_children(report, M, store, memo, pair)):
+            return False
+        if kind == "certificate":
+            return _entry_certificate_verifies(store, just["catalog"], just["pair"])
+        cert = SosCertificate(terms=tuple(
+            (Fraction(w), parse_polynomial(text, M.m))
+            for w, text in just["certificate"]["terms"]))
+        return bool(verify(cert, rayleigh_diff_multiaffine(M.basis_polynomial(),
+                                                           *pair)))
+
+    if kind in ("none", "counterexample", "minor_refuted"):
+        if not _replay_children(report, M, store, memo):
+            return False
         if kind == "counterexample":
             pair = tuple(just["pair"])
             point = [Fraction(s) for s in just["point"]]
@@ -528,7 +535,10 @@ def _replay_node(report: CheckReport, M: Matroid, store: CertificateStore,
             return (report.verdict == REFUTED and value < 0
                     and delta.eval_rational(point) == value)
         if kind == "minor_refuted":
-            return report.verdict == REFUTED
+            named = (just["op"], just["element"])
+            return report.verdict == REFUTED and any(
+                (c["op"], c["element"]) == named
+                and c["report"].verdict == REFUTED for c in report.children)
         # kind == "none"
         return report.verdict == INCONCLUSIVE
 
@@ -544,17 +554,39 @@ def _perm_maps(M: Matroid, perm: tuple[int, ...], target: Matroid) -> bool:
         return False
 
 
-def _replay_children(report: CheckReport, M: Matroid,
-                     store: CertificateStore, memo: dict) -> bool:
-    if not report.children:
-        return True
-    seen: set[tuple[str, int]] = set()
+def _entry_certificate_verifies(store: CertificateStore, ename: str,
+                                epair: list[int] | tuple[int, ...]) -> bool:
+    cert = store.lookup(ename, tuple(epair))
+    return cert is not None and bool(verify(cert, rayleigh_diff_multiaffine(
+        entry(ename).matroid.basis_polynomial(), *epair)))
+
+
+def _entry_pair_in_m(ename: str, perm: list[int] | tuple[int, ...],
+                     epair: list[int] | tuple[int, ...]) -> tuple[int, ...]:
+    """A catalog entry's pair in the labels of a matroid M that `perm`
+    maps onto the entry's core: entry -> core by the strip map, core -> M
+    by the inverse of `perm`."""
+    _, strip_map = entry(ename).matroid.strip_absent()
+    inv = {p: i + 1 for i, p in enumerate(perm)}
+    return tuple(sorted(inv[strip_map[x]] for x in epair))
+
+
+def _replay_children(report: CheckReport, M: Matroid, store: CertificateStore,
+                     memo: dict, pair: tuple[int, ...] | None = None) -> bool:
+    """Every listed child replays against its minor of M.  With the pair
+    of a PROVED node, the children are exactly Theorem 3's four minors
+    {contract, delete} x {e, f}, each PROVED."""
+    if pair is not None:
+        four = sorted((op, e) for e in pair for op in ("contract", "delete"))
+        if (len(set(pair)) != 2
+                or sorted((c["op"], c["element"]) for c in report.children) != four
+                or any(c["report"].verdict != PROVED for c in report.children)):
+            return False
     for child in report.children:
         op, e = child["op"], child["element"]
-        seen.add((op, e))
+        if op not in ("contract", "delete") or not 1 <= e <= M.m:
+            return False
         minor = M.contract(e) if op == "contract" else M.delete(e)
         if not _replay(child["report"], minor, store, memo):
             return False
-    expected = {(op, e) for e in range(1, M.m + 1)
-                for op in ("contract", "delete")}
-    return seen == expected
+    return True

@@ -360,13 +360,14 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (OSError, MatroidParseError, CertificateParseError) as exc:
+    except (OSError, MatroidParseError, CertificateParseError,
+            PolynomialParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except KeyError as exc:
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (PolynomialParseError, DegenerateMinorError, ValueError) as exc:
+    except (DegenerateMinorError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -187,9 +187,6 @@ class Matroid:
     def num_bases(self) -> int:
         return len(self._masks)
 
-    def is_basis(self, subset: Iterable[int]) -> bool:
-        return _subset_to_mask(subset, self.m) in self._mask_set
-
     def corank(self) -> int:
         return self.m - self.rank
 

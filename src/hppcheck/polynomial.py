@@ -236,26 +236,10 @@ class Polynomial:
             total += term
         return total
 
-    def eval_complex(self, point: Sequence[complex]) -> complex:
-        if len(point) != self.m:
-            raise GroundSetMismatchError(
-                f"point length {len(point)} does not match ground set size {self.m}")
-        total = 0j
-        for exps, c in self._terms.items():
-            term = complex(c)
-            for v, e in zip(point, exps):
-                if e:
-                    term *= complex(v) ** e
-            total += term
-        return total
-
     # -- predicates and shape -------------------------------------------
 
     def is_multiaffine(self) -> bool:
         return all(e <= 1 for exps in self._terms for e in exps)
-
-    def has_positive_coefficients(self) -> bool:
-        return all(c > 0 for c in self._terms.values())
 
     def total_degree(self) -> int:
         if not self._terms:
@@ -266,10 +250,6 @@ class Polynomial:
         degs = {sum(exps) for exps in self._terms}
         return len(degs) <= 1
 
-    def degree_in(self, v: int) -> int:
-        i = v - 1
-        return max((exps[i] for exps in self._terms), default=0)
-
     def support_variables(self) -> set[int]:
         """Indices of variables that actually occur."""
         out: set[int] = set()
@@ -278,19 +258,6 @@ class Polynomial:
                 if e:
                     out.add(i + 1)
         return out
-
-    def coefficients_in(self, v: int) -> dict[int, Polynomial]:
-        """Collect terms by the power of y_v: returns {power: coefficient poly}.
-
-        Coefficient polynomials live on the same ground set with y_v absent.
-        """
-        i = v - 1
-        buckets: dict[int, dict[Exponents, Coefficient]] = {}
-        for exps, c in self._terms.items():
-            k = exps[i]
-            rest = exps[:i] + (0,) + exps[i + 1:]
-            buckets.setdefault(k, {})[rest] = buckets.get(k, {}).get(rest, 0) + c
-        return {k: Polynomial(self.m, d) for k, d in buckets.items()}
 
     # -- relabeling -------------------------------------------------------
 

@@ -1,8 +1,12 @@
 import dataclasses
 import json
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hppcheck import checker as checker_mod
 from hppcheck.catalog import catalog, entry, resolve_name, uniform
@@ -12,10 +16,12 @@ from hppcheck.checker import (INCONCLUSIVE, PROVED, REFUTED, CheckOptions,
                               CheckReport, StrongRayleighChecker,
                               replay_report)
 from hppcheck.matroid import Matroid
-from hppcheck.polynomial import parse_polynomial
+from hppcheck.polynomial import format_polynomial, parse_polynomial
 from hppcheck.rayleigh import rayleigh_diff_multiaffine
 
 SEVEN = ("F7m4", "W3p", "W3pe", "P7p", "nP_d1", "nP_d9", "V8")
+FANO_LINES = ((1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7),
+              (3, 4, 7), (3, 5, 6))
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +49,16 @@ def resolved_kind(report):
     while r.justification.get("kind") in ("isomorphic", "reduction"):
         r = r.justification["inner"]
     return r
+
+
+def one_element_minors(checker, M):
+    """Every one-element minor of M, each checked directly.  A PROVED node
+    lists only the four minors of its pair, so case analyses over all 2m
+    minors read them here."""
+    return [{"op": op, "element": e,
+             "report": checker.check(M.contract(e) if op == "contract"
+                                     else M.delete(e))}
+            for e in range(1, M.m + 1) for op in ("contract", "delete")]
 
 
 class TestBaseFacts:
@@ -94,10 +110,16 @@ class TestSevenMatroids:
 
 class TestCaseAnalyses:
     def test_v8_children(self, shared_checker):
-        rep = shared_checker.check(resolve_name("V8"), name="V8")
+        V8 = resolve_name("V8")
+        rep = shared_checker.check(V8, name="V8")
+        # Theorem 3: the certified pair's four minors, nothing else
+        assert rep.justification["kind"] == "certificate"
+        assert ({(c["op"], c["element"]) for c in rep.children}
+                == {(op, e) for op in ("contract", "delete") for e in (1, 2)})
+        assert len(rep.children) == 4
         contract_kinds = set()
         delete_kinds = set()
-        for child in rep.children:
+        for child in one_element_minors(shared_checker, V8):
             r = resolved_kind(child["report"])
             j = r.justification
             if child["op"] == "contract":
@@ -119,9 +141,9 @@ class TestCaseAnalyses:
         assert rep.justification["kind"] == "reduction"
         assert rep.justification["loops"] == [1]
         assert any("absent" in n for n in rep.notes)
-        inner = rep.justification["inner"]
+        reduced, _ = resolve_name("nP_d1").strip_absent()
         deletion_targets = set()
-        for child in inner.children:
+        for child in one_element_minors(shared_checker, reduced):
             r = resolved_kind(child["report"])
             j = r.justification
             if child["op"] == "contract":
@@ -131,9 +153,8 @@ class TestCaseAnalyses:
         assert deletion_targets == {"F7m4", "W3pe", "F7m5", "P7p", "P7pp"}
 
     def test_np_d9_children(self, shared_checker):
-        rep = shared_checker.check(resolve_name("nP_d9"), name="nP_d9")
         deletion_targets = set()
-        for child in rep.children:
+        for child in one_element_minors(shared_checker, resolve_name("nP_d9")):
             r = resolved_kind(child["report"])
             j = r.justification
             if child["op"] == "contract":
@@ -145,8 +166,7 @@ class TestCaseAnalyses:
     def test_v8_minors_match_catalog_entries(self, shared_checker):
         # every contraction of V8 is F7m4 or F7m5, every deletion the dual
         # of one, as the checker's single catalog match per minor records
-        rep = shared_checker.check(resolve_name("V8"), name="V8")
-        for child in rep.children:
+        for child in one_element_minors(shared_checker, resolve_name("V8")):
             j = resolved_kind(child["report"]).justification
             dual = j["kind"] == "dual_of" or j.get("dual", False)
             name = j["catalog"] + ("*" if dual else "")
@@ -330,7 +350,7 @@ def reference_replay(report, M, store):
 
     if kind == "known_hpp":
         ent = entry(just["catalog"])
-        if not ent.known_hpp:
+        if report.verdict != PROVED or not ent.known_hpp:
             return False
         core, _ = ent.matroid.strip_absent()
         target = core.dual() if just.get("dual") else core
@@ -348,29 +368,36 @@ def reference_replay(report, M, store):
             return False
         return _reference_children(report, M, store)
 
-    if kind in ("certificate", "sos_search", "none", "counterexample",
-                "minor_refuted"):
+    if kind == "certificate":
+        ename = just["catalog"]
+        ent = entry(ename)
+        core, strip_map = ent.matroid.strip_absent()
+        perm = tuple(just["perm"])
+        cert = store.lookup(ename, tuple(just["pair"]))
+        if (report.verdict != PROVED or cert is None
+                or not _reference_perm_maps(M, perm, core)):
+            return False
+        inv = {p: i + 1 for i, p in enumerate(perm)}
+        try:
+            pair = tuple(inv[strip_map[x]] for x in just["pair"])
+        except KeyError:
+            return False
+        return (_reference_children(report, M, store, pair)
+                and _pure(_verifies_entry_pair, cert, ename, tuple(just["pair"])))
+
+    if kind == "sos_search":
+        pair = tuple(just["pair"])
+        if (report.verdict != PROVED
+                or not _reference_children(report, M, store, pair)):
+            return False
+        target = rayleigh_diff_multiaffine(M.basis_polynomial(), *pair)
+        terms = tuple((Fraction(w), parse_polynomial(text, M.m))
+                      for w, text in just["certificate"]["terms"])
+        return bool(verify(SosCertificate(terms=terms), target))
+
+    if kind in ("none", "counterexample", "minor_refuted"):
         if not _reference_children(report, M, store):
             return False
-        if kind == "certificate":
-            ename = just["catalog"]
-            ent = entry(ename)
-            core, _ = ent.matroid.strip_absent()
-            if not _reference_perm_maps(M, tuple(just["perm"]), core):
-                return False
-            cert = store.lookup(ename, tuple(just["pair"]))
-            if cert is None:
-                return False
-            return (_pure(_verifies_entry_pair, cert, ename, tuple(just["pair"]))
-                    and report.verdict == PROVED)
-        if kind == "sos_search":
-            pair = tuple(just["pair"])
-            target = rayleigh_diff_multiaffine(M.basis_polynomial(), *pair)
-            terms = tuple(
-                (Fraction(w), parse_polynomial(text, M.m))
-                for w, text in just["certificate"]["terms"])
-            cert = SosCertificate(terms=terms)
-            return bool(verify(cert, target)) and report.verdict == PROVED
         if kind == "counterexample":
             pair = tuple(just["pair"])
             point = [Fraction(s) for s in just["point"]]
@@ -379,7 +406,10 @@ def reference_replay(report, M, store):
             return (report.verdict == REFUTED and value < 0
                     and delta.eval_rational(point) == value)
         if kind == "minor_refuted":
-            return report.verdict == REFUTED
+            named = (just["op"], just["element"])
+            return report.verdict == REFUTED and any(
+                (c["op"], c["element"]) == named
+                and c["report"].verdict == REFUTED for c in report.children)
         return report.verdict == INCONCLUSIVE
 
     return False
@@ -411,19 +441,21 @@ def _pure(fn, *args):
     return _PURE_CACHE[key]
 
 
-def _reference_children(report, M, store):
-    if not report.children:
-        return True
-    seen = set()
+def _reference_children(report, M, store, pair=None):
+    if pair is not None:
+        four = sorted((op, e) for e in pair for op in ("contract", "delete"))
+        if (len(set(pair)) != 2
+                or sorted((c["op"], c["element"]) for c in report.children) != four
+                or any(c["report"].verdict != PROVED for c in report.children)):
+            return False
     for child in report.children:
         op, e = child["op"], child["element"]
-        seen.add((op, e))
+        if op not in ("contract", "delete") or not 1 <= e <= M.m:
+            return False
         minor = _pure(M.contract if op == "contract" else M.delete, e)
         if not reference_replay(child["report"], minor, store):
             return False
-    expected = {(op, e) for e in range(1, M.m + 1)
-                for op in ("contract", "delete")}
-    return seen == expected
+    return True
 
 
 def distinct_nodes(report):
@@ -466,6 +498,18 @@ def tamperings(report):
                 just["pair"] = other
                 yield ("pair", i, kind)
             just["pair"] = pair
+        children = node.children
+        if children:
+            node.children = []
+            yield ("drop children", i, kind)
+            # a copy of the first child with the other verdict, seen by
+            # this node alone
+            first = children[0]
+            flipped = dataclasses.replace(
+                first["report"], verdict=_OTHER_VERDICT[first["report"].verdict])
+            node.children = [{**first, "report": flipped}] + children[1:]
+            yield ("child verdict", i, kind)
+            node.children = children
 
 
 TAMPER_TREES = [("nP", False), ("nP", True), ("V8", False), ("nP_d9", False)]
@@ -481,14 +525,18 @@ class TestReplaySoundness:
             store, CheckOptions(refute=refute)).check(M, name=name)
         assert replay_report(rep, M, store)
         assert reference_replay(rep, M, store)
-        rejected = {"verdict": 0, "perm": 0, "pair": 0}
+        rejected = {"verdict": 0, "perm": 0, "pair": 0, "drop children": 0,
+                    "child verdict": 0}
         for what, index, kind in tamperings(rep):
             memoized = replay_report(rep, M, store)
             assert memoized == reference_replay(rep, M, store), (what, index, kind)
             rejected[what] += not memoized
-            # every node is reached, and each kind but known_hpp fixes its
-            # verdict (the known_hpp replay checks only the perm)
-            if what == "verdict" and kind != "known_hpp":
+            # every node is reached, and every kind fixes its verdict
+            if what in ("verdict", "child verdict"):
+                assert not memoized, (what, index, kind)
+            # pair evidence needs its four minors, minor_refuted its minor
+            if what == "drop children" and kind in ("certificate", "sos_search",
+                                                    "minor_refuted"):
                 assert not memoized, (index, kind)
         assert rejected["perm"] > 0
         # the tree is whole again
@@ -511,11 +559,14 @@ class TestReplaySoundness:
         assert not replay_report(forged, V8, store)
         assert not reference_replay(forged, V8, store)
 
-    def test_shared_node_valid_for_both_matroids(self, store):
+    def test_shared_node_valid_for_both_matroids(self):
+        # with no certificate F7m4 is INCONCLUSIVE, and its node lists all
+        # fourteen minors; two different contractions with the same shape:
+        # one base-fact node holds for both
+        empty = CertificateStore()
         F7m4 = resolve_name("F7m4")
-        rep = StrongRayleighChecker(store, CheckOptions()).check(F7m4, name="F7m4")
-        # two different contractions with the same shape: one base-fact
-        # node holds for both
+        rep = StrongRayleighChecker(empty, CheckOptions()).check(F7m4, name="F7m4")
+        assert rep.verdict == INCONCLUSIVE and len(rep.children) == 14
         contractions = {c["element"]: c for c in rep.children
                         if c["op"] == "contract"}
         e, f = next((e, f) for e in contractions for f in contractions
@@ -528,8 +579,8 @@ class TestReplaySoundness:
             if (c["op"], c["element"]) == ("contract", f):
                 c["report"] = node
         forged = dataclasses.replace(rep, children=children)
-        assert replay_report(forged, F7m4, store)
-        assert reference_replay(forged, F7m4, store)
+        assert replay_report(forged, F7m4, empty)
+        assert reference_replay(forged, F7m4, empty)
 
     def test_self_containing_report_is_rejected(self, store):
         M = resolve_name("F7m4")
@@ -563,3 +614,176 @@ class TestReplaySoundness:
         assert replay_report(rep, M, store)
         # the unmemoized replay verified a certificate 63 times here
         assert cert_nodes and len(calls) <= len(cert_nodes)
+
+    # -- forged verdicts ------------------------------------------------------
+
+    def test_proved_tree_relabelled_minor_refuted(self, store):
+        M = resolve_name("F7m4")
+        rep = StrongRayleighChecker(store, CheckOptions()).check(M, name="F7m4")
+        assert rep.verdict == PROVED
+        named = {(c["op"], c["element"]) for c in rep.children}
+        # the named minor listed but PROVED, and the named minor not listed
+        for op, e in (("delete", 1), ("delete", 5)):
+            assert ((op, e) in named) == (e == 1)
+            forged = dataclasses.replace(
+                rep, verdict=REFUTED,
+                justification={"kind": "minor_refuted", "op": op, "element": e})
+            assert not replay_report(forged, M, store)
+            assert not reference_replay(forged, M, store)
+
+    def test_certificate_node_with_inconclusive_child(self, store):
+        M = resolve_name("F7m4")
+        rep = StrongRayleighChecker(store, CheckOptions()).check(M, name="F7m4")
+        assert rep.justification["kind"] == "certificate"
+        first = rep.children[0]
+        e = first["element"]
+        minor = M.contract(e) if first["op"] == "contract" else M.delete(e)
+        stub = CheckReport(INCONCLUSIVE, "stub", minor.m, minor.rank,
+                           minor.num_bases(), {"kind": "none", "reason": "stub"})
+        # the stub alone replays: only the PROVED parent may not rest on it
+        assert replay_report(stub, minor, store)
+        forged = dataclasses.replace(
+            rep, children=[{**first, "report": stub}] + rep.children[1:])
+        assert not replay_report(forged, M, store)
+        assert not reference_replay(forged, M, store)
+
+    def test_certificate_pair_is_recomputed_not_read(self, store):
+        # V8's certificate is for (1, 2); a node that claims m_pair (3, 4)
+        # and lists the four (honest, PROVED) minors of (3, 4) is rejected
+        checker = StrongRayleighChecker(store, CheckOptions())
+        V8 = resolve_name("V8")
+        rep = checker.check(V8, name="V8")
+        assert rep.justification["m_pair"] == [1, 2]
+        others = [{"op": op, "element": e,
+                   "report": checker.check(V8.contract(e) if op == "contract"
+                                           else V8.delete(e))}
+                  for e in (3, 4) for op in ("contract", "delete")]
+        assert all(c["report"].verdict == PROVED for c in others)
+        forged = dataclasses.replace(
+            rep, children=others,
+            justification={**rep.justification, "m_pair": [3, 4]})
+        assert not replay_report(forged, V8, store)
+        assert not reference_replay(forged, V8, store)
+
+    def test_flipped_known_hpp_node(self, store):
+        M = resolve_name("F7m5")
+        rep = StrongRayleighChecker(store, CheckOptions()).check(M, name="F7m5")
+        assert rep.justification["kind"] == "known_hpp"
+        assert replay_report(rep, M, store)
+        for verdict in (REFUTED, INCONCLUSIVE):
+            forged = dataclasses.replace(rep, verdict=verdict)
+            assert not replay_report(forged, M, store)
+            assert not reference_replay(forged, M, store)
+
+    def test_childless_sos_search_node(self, store):
+        # F7 + U_1_2: Delta_89 = Z_F7^2, so one square certifies the pair,
+        # yet M/8 is F7 with a loop, which lacks the half-plane property
+        F7 = Matroid.from_nonbases(7, 3, FANO_LINES)
+        M = Matroid(9, 4, [b + (x,) for b in F7.bases() for x in (8, 9)])
+        Z = parse_polynomial(format_polynomial(F7.basis_polynomial()), 9)
+        target = rayleigh_diff_multiaffine(M.basis_polynomial(), 8, 9)
+        assert verify(SosCertificate(terms=((Fraction(1), Z),)), target)
+        forged = CheckReport(PROVED, "forged", M.m, M.rank, M.num_bases(),
+                             {"kind": "sos_search", "pair": [8, 9],
+                              "certificate": {"terms": [["1", format_polynomial(Z)]]}})
+        assert not replay_report(forged, M, store)
+        assert not reference_replay(forged, M, store)
+        honest = StrongRayleighChecker(store, CheckOptions(refute=True)).check(M)
+        assert honest.verdict == REFUTED
+        assert replay_report(honest, M, store)
+
+
+# -- the all-minor rule as reference ------------------------------------------
+
+
+class AllMinorChecker(StrongRayleighChecker):
+    """The recursion before Theorem 3's pair rule: all 2m one-element
+    minors are checked, and M is PROVED only when every one is PROVED and
+    some pair has evidence.  Kept as the reference the pair rule must
+    never contradict; its reports list all 2m minors, so they are not
+    replayed."""
+
+    def _recursion(self, M, disp, matches):
+        children = []
+        for e in range(1, M.m + 1):
+            for op, minor in (("contract", M.contract(e)), ("delete", M.delete(e))):
+                rep = self._check(minor)
+                if rep is None:
+                    return None
+                children.append({"op": op, "element": e, "report": rep})
+        refuted = next((c for c in children if c["report"].verdict == REFUTED),
+                       None)
+        if refuted is not None:
+            just = (self._lift_counterexample(M, refuted)
+                    or {"kind": "minor_refuted", "op": refuted["op"],
+                        "element": refuted["element"]})
+            return checker_mod._report(M, disp, REFUTED, just, children)
+        if all(c["report"].verdict == PROVED for c in children):
+            for pair in combinations(range(1, M.m + 1), 2):
+                evidence = self.check_pair_nonnegativity(M, pair, matches)
+                if evidence is not None:
+                    return checker_mod._report(M, disp, PROVED, evidence, children)
+        if self.options.refute:
+            counter = self._falsify(M)
+            if counter is not None:
+                return checker_mod._report(M, disp, REFUTED, counter, children)
+        return checker_mod._report(M, disp, INCONCLUSIVE,
+                                   {"kind": "none", "reason": "reference"},
+                                   children)
+
+
+HPP_NINE = SEVEN + ("F7m5", "P7pp")
+CROSS_CHECK = ([(name, PROVED, PROVED) for name in HPP_NINE]
+               + [("nP", INCONCLUSIVE, REFUTED), ("F7", INCONCLUSIVE, REFUTED)])
+
+
+def _variants(name):
+    """The matroid as given, dualised and randomly relabelled."""
+    M = (Matroid.from_nonbases(7, 3, FANO_LINES) if name == "F7"
+         else resolve_name(name))
+    perm = list(range(1, M.m + 1))
+    random.Random(name).shuffle(perm)
+    return [("given", M), ("dual", M.dual()), ("relabelled", M.relabeled(perm))]
+
+
+class TestPairRuleAgainstAllMinors:
+    @pytest.mark.parametrize("refute", [False, True], ids=["plain", "refute"])
+    @pytest.mark.parametrize("name,plain,refuting", CROSS_CHECK,
+                             ids=[c[0] for c in CROSS_CHECK])
+    def test_verdicts_agree(self, name, plain, refuting, refute, store):
+        options = CheckOptions(refute=refute)
+        for how, M in _variants(name):
+            new = StrongRayleighChecker(store, options).check(M)
+            old = AllMinorChecker(store, options).check(M)
+            assert {new.verdict, old.verdict} != {PROVED, REFUTED}, how
+            if old.verdict == PROVED:
+                assert new.verdict == PROVED, how
+            assert new.verdict == (refuting if refute else plain), how
+            assert replay_report(new, M, store), how
+            for node in walk(new):
+                if node.justification["kind"] in ("certificate", "sos_search"):
+                    assert len(node.children) == 4, how
+
+
+@st.composite
+def linear_spaces(draw):
+    """A rank-3 linear space on seven points: lines of three or four
+    points, any two meeting in at most one point."""
+    lines = []
+    for line in draw(st.lists(st.frozensets(st.integers(1, 7), min_size=3,
+                                            max_size=4), max_size=7)):
+        if all(len(line & other) <= 1 for other in lines):
+            lines.append(line)
+    return Matroid.from_nonbases(
+        7, 3, [t for line in lines for t in combinations(sorted(line), 3)])
+
+
+@settings(max_examples=30)
+@given(M=linear_spaces(), perm=st.permutations(range(1, 8)))
+def test_linear_space_verdict_invariant(M, perm, store):
+    verdicts = set()
+    for variant in (M, M.relabeled(perm), M.dual()):
+        rep = StrongRayleighChecker(store, CheckOptions()).check(variant)
+        assert replay_report(rep, variant, store)
+        verdicts.add(rep.verdict)
+    assert len(verdicts) == 1

@@ -365,6 +365,25 @@ class TestUsageAndHelp:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["rdiff", "{poly}", "1", "2"], ["disc", "{poly}", "1", "2", "3"],
+        ["sos-search", "{poly}"], ["sample", "{poly}", "--mode", "hpp"],
+        ["verify-cert", "{cert}", "--target", "{poly}"],
+    ], ids=["rdiff", "disc", "sos-search", "sample", "verify-cert"])
+    @pytest.mark.parametrize("text", ["y1*y2 + y3^2", "y0"],
+                             ids=["caret", "y0"])
+    def test_malformed_polynomial_file_is_a_parse_error(self, capsys, tmp_path,
+                                                        argv, text):
+        # these once exited 4, the computation-error code
+        poly = tmp_path / "bad.poly"
+        poly.write_text(text + "\n")
+        cert = shipped_store_dir() / "f7m4_12.cert"
+        code, out, err = run(capsys, *(a.format(poly=poly, cert=cert)
+                                       for a in argv))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     @pytest.mark.parametrize("cmd", ["catalog", "bases", "minor", "dual",
                                      "iso", "rdiff", "disc", "verify-cert",
                                      "check-hpp", "sos-search", "sample"])

@@ -62,11 +62,23 @@ class TestRayleighDiff:
             checked += 1
 
 
+def coefficients_in(p, v):
+    """Collect the terms of p by the power of y_v: {power: coefficient},
+    each coefficient on p's ground set with y_v absent."""
+    i = v - 1
+    buckets = {}
+    for exps, c in p.terms.items():
+        rest = exps[:i] + (0,) + exps[i + 1:]
+        bucket = buckets.setdefault(exps[i], {})
+        bucket[rest] = bucket.get(rest, 0) + c
+    return {k: Polynomial(p.m, d) for k, d in buckets.items()}
+
+
 def extract_quadratic(Z, e, f, g):
     """Independent oracle: coefficients of y_g powers pulled straight out
     of the expanded Rayleigh difference."""
     delta = rayleigh_diff(Z, e, f)
-    parts = delta.coefficients_in(g)
+    parts = coefficients_in(delta, g)
     zero = Polynomial.zero(Z.m)
     assert all(k <= 2 for k in parts)
     return parts.get(2, zero), parts.get(1, zero), parts.get(0, zero)
