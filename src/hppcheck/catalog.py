@@ -176,18 +176,16 @@ def catalog() -> dict[str, CatalogEntry]:
 
 
 def catalog_index() -> IsoTable:
-    """Every entry's loop-free core and the core's dual, for isomorphism
-    lookups.
+    """Every entry's loop-free core, for isomorphism lookups.
 
-    A row's value is (entry name, dual?, core): the row matches matroids
-    isomorphic to the core (dual False) or to its dual (dual True).  Rows
-    follow CATALOG_NAMES, the direct row of an entry before its dual row.
+    A row's value is the entry name, and rows follow CATALOG_NAMES.  No row
+    holds a dual: every core's rank is at most its corank, and the checker
+    checks a matroid whose rank exceeds its corank through its dual.
     """
     index = IsoTable()
     for name in CATALOG_NAMES:
         core, _ = entry(name).matroid.strip_absent()
-        index.add(core, (name, False, core))
-        index.add(core.dual(), (name, True, core))
+        index.add(core, name)
     return index
 
 

@@ -13,9 +13,10 @@ The checker runs that recursion with:
     half-plane property), all flagged with provenance;
   * exact certificate verification (via the certificate store) or exact
     re-verified SOS search for the pair condition;
-  * isomorphism resolution against the catalog, including duals (the class
-    is closed under minors and duality, so a refuted minor refutes M),
-    through one catalog index;
+  * isomorphism resolution against the catalog, through one catalog index;
+  * one duality rule: a matroid whose rank exceeds its corank is checked
+    through its dual.  The class is closed under minors and duality, so a
+    refuted minor refutes M, and so does a refuted dual;
   * a falsifier producing exact rational counterexamples in refute mode.
 
 PROVED / REFUTED / INCONCLUSIVE are first-class verdicts; sampling never
@@ -114,16 +115,16 @@ def _describe_justification(just: dict[str, Any]) -> str:
     if kind == "base_fact":
         return just.get("provenance", "")
     if kind == "known_hpp":
-        via = "dual of " if just.get("dual") else ""
-        return (f"isomorphic to {via}catalog {just['catalog']}; "
+        return (f"isomorphic to catalog {just['catalog']}; "
                 f"{just.get('provenance', '')}")
     if kind == "certificate":
         return (f"pair {tuple(just['pair'])} via certificate for "
                 f"{just['catalog']}")
     if kind == "sos_search":
         return f"pair {tuple(just['pair'])} via searched certificate"
-    if kind == "dual_of":
-        return f"dual of catalog {just['catalog']}"
+    if kind == "dual":
+        return ("rank exceeds corank, checked through the dual; "
+                f"{just['provenance']}")
     if kind == "counterexample":
         return (f"pair {tuple(just['pair'])} negative at "
                 f"{just['point']} (value {just['value']})")
@@ -155,10 +156,11 @@ def _counterexample(pair: tuple[int, ...], point: list[Fraction],
 class StrongRayleighChecker:
     """Runs the recursion, memoized over isomorphism classes of minors.
 
-    The memo, the cycle guard and the catalog index are `IsoTable`s:
-    isomorphic minors of any size share one report tree, and every catalog
-    match (known facts, duals, certificates) filters one lookup per matroid
-    in the index built here.
+    The memo and the catalog index are `IsoTable`s: isomorphic minors of
+    any size share one report tree, and every catalog match (known facts,
+    certificates) filters one lookup per matroid in the index built here.
+    Every step leads to a smaller matroid, or from a matroid to its dual of
+    smaller rank, so no check leads back to a class still being checked.
     """
 
     def __init__(self, store: CertificateStore, options: CheckOptions | None = None):
@@ -166,18 +168,22 @@ class StrongRayleighChecker:
         self.options = options or CheckOptions()
         # value (M, report) per checked isomorphism class
         self._memo = IsoTable()
-        # matroids whose check is in progress
-        self._active = IsoTable()
         self._verified_entry_pairs: dict[tuple[str, tuple[int, int]], bool] = {}
         self._index = catalog_index()
 
     # -- public API -----------------------------------------------------
 
     def check(self, M: Matroid, name: str | None = None) -> CheckReport:
-        report = self._check(M, name)
-        if report is None:
-            raise RuntimeError("internal error: the top-level check met its "
-                               "own cycle guard")
+        for (rep_matroid, report), perm in self._memo.lookup(M):
+            if rep_matroid == M:
+                return report
+            # same isomorphism class, different labels: reuse the stored
+            # tree under the witnessing permutation (recorded for replay)
+            return _report(M, self._display_name(M, name), report.verdict,
+                           {"kind": "isomorphic", "perm": list(perm),
+                            "inner": report})
+        report = self._check_core(M, name)
+        self._memo.add(M, (M, report))
         return report
 
     def check_pair_nonnegativity(self, M: Matroid, pair: tuple[int, int],
@@ -206,28 +212,6 @@ class StrongRayleighChecker:
 
     # -- internals --------------------------------------------------------
 
-    def _check(self, M: Matroid, name: str | None = None) -> CheckReport | None:
-        for (rep_matroid, report), perm in self._memo.lookup(M):
-            if rep_matroid == M:
-                return report
-            # same isomorphism class, different labels: reuse the stored
-            # tree under the witnessing permutation (recorded for replay)
-            return _report(M, self._display_name(M, name), report.verdict,
-                           {"kind": "isomorphic", "perm": list(perm),
-                            "inner": report})
-        # a matroid isomorphic to M is being checked further up (a dual_of
-        # resolution leading back to its own class)
-        if any(self._active.lookup(M)):
-            return None
-        self._active.add(M, None)
-        try:
-            report = self._check_core(M, name)
-        finally:
-            self._active.remove(M)
-        if report is not None:
-            self._memo.add(M, (M, report))
-        return report
-
     def _display_name(self, M: Matroid, name: str | None) -> str:
         if name:
             return name
@@ -235,7 +219,7 @@ class StrongRayleighChecker:
             return M.name
         return f"minor(m={M.m},r={M.rank},b={M.num_bases()})"
 
-    def _check_core(self, M: Matroid, name: str | None) -> CheckReport | None:
+    def _check_core(self, M: Matroid, name: str | None) -> CheckReport:
         disp = self._display_name(M, name)
         if M.num_bases() == 1:
             # checked before the loop/coloop reduction, which would leave
@@ -247,14 +231,7 @@ class StrongRayleighChecker:
         loops = M.loops()
         coloops = M.coloops()
         if loops or coloops:
-            reduced = M
-            if loops:
-                reduced, _ = reduced.strip_absent()
-            for c in sorted(reduced.coloops(), reverse=True):
-                reduced = reduced.contract(c)
-            inner = self._check(reduced)
-            if inner is None:
-                return None
+            inner = self.check(_reduce(M))
             notes = []
             if loops:
                 notes.append(_LOOP_NOTE)
@@ -276,32 +253,24 @@ class StrongRayleighChecker:
                             "fact": "rank_or_corank_at_most_2",
                             "provenance": _PROV_RANK})
 
-        # (entry name, dual?, core) and perm of every catalog row matching M
+        if M.rank > M.corank():
+            # M* has rank below its corank, so this never fires twice
+            inner = self.check(M.dual(), name=f"{disp}*")
+            return _report(M, disp, inner.verdict,
+                           {"kind": "dual", "inner": inner,
+                            "provenance": _PROV_DUAL})
+
+        # (entry name, perm) of every catalog row matching M
         matches = list(self._index.lookup(M))
-        for (ename, dual, _), perm in matches:
+        for ename, perm in matches:
             if entry(ename).known_hpp:
                 return _report(M, disp, PROVED,
                                {"kind": "known_hpp", "catalog": ename,
-                                "perm": list(perm), "dual": dual,
-                                "provenance": (_PROV_KNOWN + "; " + _PROV_DUAL
-                                               if dual else _PROV_KNOWN)})
-        # M isomorphic to the dual of a certificated catalog core
-        for (ename, dual, core), perm in matches:
-            if not dual or (not self.store.pairs_for(ename)
-                            and entry(ename).cert_pair is None):
-                continue
-            inner = self._check(core)
-            if inner is None or inner.verdict != PROVED:
-                continue
-            return _report(M, disp, PROVED,
-                           {"kind": "dual_of", "catalog": ename,
-                            "perm": list(perm), "inner": inner,
-                            "provenance": _PROV_DUAL})
+                                "perm": list(perm), "provenance": _PROV_KNOWN})
 
         return self._recursion(M, disp, matches)
 
-    def _recursion(self, M: Matroid, disp: str,
-                   matches: list) -> CheckReport | None:
+    def _recursion(self, M: Matroid, disp: str, matches: list) -> CheckReport:
         """Theorem 3, one pair at a time: store pairs first, then every
         other pair in lexicographic order.  The four minors of each pair
         are checked (once per call); a refuted one refutes M, and four
@@ -316,10 +285,8 @@ class StrongRayleighChecker:
                 for op in ("contract", "delete"):
                     child = minors.get((op, e))
                     if child is None:
-                        rep = self._check(M.contract(e) if op == "contract"
-                                          else M.delete(e))
-                        if rep is None:
-                            return None
+                        rep = self.check(M.contract(e) if op == "contract"
+                                         else M.delete(e))
                         child = {"op": op, "element": e, "report": rep}
                         minors[(op, e)] = child
                         if rep.verdict == REFUTED:
@@ -349,9 +316,8 @@ class StrongRayleighChecker:
         """M's pairs (in M's labels, store order) with a verified store
         certificate, each mapped to its justification."""
         # the first catalog entry with store pairs whose core is M's class
-        ename, perm = next(((ename, perm) for (ename, dual, _), perm in matches
-                            if not dual and self.store.pairs_for(ename)),
-                           (None, None))
+        ename, perm = next(((ename, perm) for ename, perm in matches
+                            if self.store.pairs_for(ename)), (None, None))
         if ename is None:
             return {}
         out = {}
@@ -421,7 +387,11 @@ def replay_report(report: CheckReport, M: Matroid,
     verdict must follow from its evidence: a PROVED node with pair
     evidence lists exactly the four minors of its pair, all PROVED; a
     `known_hpp` node is PROVED; a `minor_refuted` node lists its named
-    minor, REFUTED.
+    minor, REFUTED; a `dual` node has its inner report's verdict, and that
+    report replays against M*.  A REFUTED `dual` node rests on the closure
+    of the half-plane property under duality, as `minor_refuted` rests on
+    its closure under minors; its chain still ends in an exact negative
+    point, of M*'s difference.
 
     The checker shares one subtree among all minors of an isomorphism
     class, so a node can appear many times in a tree.  Each node is
@@ -452,26 +422,21 @@ def _replay_node(report: CheckReport, M: Matroid, store: CertificateStore,
     just = report.justification
     kind = just.get("kind")
 
-    if kind == "isomorphic":
+    if kind in ("isomorphic", "reduction", "dual"):
+        # the inner report carries this node's verdict for another matroid
         inner = just.get("inner")
         if not isinstance(inner, CheckReport) or inner.verdict != report.verdict:
             return False
-        try:
-            rep_matroid = M.relabeled(tuple(just["perm"]))
-        except ValueError:
-            return False
-        return _replay(inner, rep_matroid, store, memo)
-
-    if kind == "reduction":
-        reduced = M
-        if M.loops():
-            reduced, _ = reduced.strip_absent()
-        for c in sorted(reduced.coloops(), reverse=True):
-            reduced = reduced.contract(c)
-        inner = just.get("inner")
-        if not isinstance(inner, CheckReport) or inner.verdict != report.verdict:
-            return False
-        return _replay(inner, reduced, store, memo)
+        if kind == "dual":
+            target = M.dual()
+        elif kind == "reduction":
+            target = _reduce(M)
+        else:
+            try:
+                target = M.relabeled(tuple(just["perm"]))
+            except ValueError:
+                return False
+        return _replay(inner, target, store, memo)
 
     if kind == "base_fact":
         if just["fact"] == "ground_at_most_6":
@@ -487,20 +452,7 @@ def _replay_node(report: CheckReport, M: Matroid, store: CertificateStore,
         if report.verdict != PROVED or not ent.known_hpp:
             return False
         core, _ = ent.matroid.strip_absent()
-        target = core.dual() if just.get("dual") else core
-        return _perm_maps(M, tuple(just["perm"]), target)
-
-    if kind == "dual_of":
-        ent = entry(just["catalog"])
-        core, _ = ent.matroid.strip_absent()
-        if not _perm_maps(M, tuple(just["perm"]), core.dual()):
-            return False
-        inner = just.get("inner")
-        if not isinstance(inner, CheckReport) or inner.verdict != PROVED:
-            return False
-        if not _replay(inner, core, store, memo):
-            return False
-        return _replay_children(report, M, store, memo)
+        return _perm_maps(M, tuple(just["perm"]), core)
 
     if kind in ("certificate", "sos_search"):
         pair = tuple(just["pair"])
@@ -543,6 +495,16 @@ def _replay_node(report: CheckReport, M: Matroid, store: CertificateStore,
         return report.verdict == INCONCLUSIVE
 
     return False
+
+
+def _reduce(M: Matroid) -> Matroid:
+    """M without its loops and coloops."""
+    reduced = M
+    if M.loops():
+        reduced, _ = reduced.strip_absent()
+    for c in sorted(reduced.coloops(), reverse=True):
+        reduced = reduced.contract(c)
+    return reduced
 
 
 def _perm_maps(M: Matroid, perm: tuple[int, ...], target: Matroid) -> bool:

@@ -56,27 +56,40 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _load_matroid(ref: str) -> Matroid:
-    """Resolve a catalog name, U_<r>_<m> pattern, or matroid file path."""
+class UsageError(Exception):
+    """A well-formed command whose arguments do not fit its input (exit 3)."""
+
+
+def _load(ref: str, of_matroid, parse_text):
+    """A catalog name or U_<r>_<m> pattern, through `of_matroid`, else the
+    existing file `ref`, through `parse_text`."""
     try:
-        return catalog_mod.resolve_name(ref)
+        return of_matroid(catalog_mod.resolve_name(ref))
     except KeyError as exc:
         path = Path(ref)
         if not path.exists():
             raise KeyError(f"{exc.args[0]}, and no file of that name") from None
-    return matroid_from_text(path.read_text())
+    return parse_text(path.read_text())
+
+
+def _load_matroid(ref: str) -> Matroid:
+    """Resolve a catalog name, U_<r>_<m> pattern, or matroid file path."""
+    return _load(ref, lambda M: M, matroid_from_text)
 
 
 def _load_polynomial(ref: str) -> Polynomial:
     """Resolve to a polynomial: catalog/uniform names give the basis
     polynomial, otherwise the file is read in the polynomial grammar."""
-    try:
-        return catalog_mod.resolve_name(ref).basis_polynomial()
-    except KeyError as exc:
-        path = Path(ref)
-        if not path.exists():
-            raise KeyError(f"{exc.args[0]}, and no file of that name") from None
-    return parse_polynomial(path.read_text())
+    return _load(ref, Matroid.basis_polynomial, parse_polynomial)
+
+
+def _check_elements(m: int, *elements: int) -> None:
+    """Element arguments must be distinct members of the ground set 1..m."""
+    for e in elements:
+        if not 1 <= e <= m:
+            raise UsageError(f"element {e} is not in the ground set 1..{m}")
+    if len(set(elements)) != len(elements):
+        raise UsageError(f"elements {list(elements)} are not distinct")
 
 
 def _store_from(args) -> "CertificateStore":
@@ -110,6 +123,7 @@ def _cmd_bases(args) -> int:
 
 def _cmd_minor(args) -> int:
     M = _load_matroid(args.name)
+    _check_elements(M.m, args.element)
     if args.op == "del":
         out = M.delete(args.element)
     else:
@@ -138,12 +152,14 @@ def _cmd_iso(args) -> int:
 
 def _cmd_rdiff(args) -> int:
     Z = _load_polynomial(args.source)
+    _check_elements(Z.m, args.e, args.f)
     print(format_polynomial(rayleigh_diff(Z, args.e, args.f)))
     return EXIT_OK
 
 
 def _cmd_disc(args) -> int:
     Z = _load_polynomial(args.source)
+    _check_elements(Z.m, args.e, args.f, args.g)
     print(format_polynomial(discriminant(Z, args.e, args.f, args.g)))
     return EXIT_OK
 
@@ -152,11 +168,7 @@ def _cmd_verify_cert(args) -> int:
     cert = certificate_from_text(Path(args.certfile).read_text(),
                                  source=args.certfile)
     if args.target:
-        try:
-            target = _load_polynomial(args.target)
-        except KeyError as exc:
-            print(exc, file=sys.stderr)
-            return EXIT_INCONCLUSIVE
+        target = _load_polynomial(args.target)
         if cert.matroid_name and args.target == cert.matroid_name and cert.pair:
             target = rayleigh_diff(target, *cert.pair)
     elif cert.target is not None:
@@ -361,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (OSError, MatroidParseError, CertificateParseError,
-            PolynomialParseError) as exc:
+            PolynomialParseError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except KeyError as exc:

@@ -407,11 +407,6 @@ class IsoTable:
     def add(self, M: Matroid, value: Any) -> None:
         self._buckets.setdefault(M.canonical_key(), []).append((M, value))
 
-    def remove(self, M: Matroid) -> None:
-        """Drop the entries stored under this very matroid object."""
-        bucket = self._buckets[M.canonical_key()]
-        bucket[:] = [(N, value) for N, value in bucket if N is not M]
-
     def lookup(self, M: Matroid) -> Iterator[tuple[Any, tuple[int, ...]]]:
         """(value, perm) of each entry isomorphic to M, in insertion order;
         perm is the least permutation mapping M onto the entry's matroid."""

@@ -2,8 +2,9 @@ from itertools import combinations
 
 import pytest
 
-from hppcheck.catalog import (catalog, entry, literature_definition,
-                              pin_permutation, resolve_name, uniform)
+from hppcheck.catalog import (catalog, catalog_index, entry,
+                              literature_definition, pin_permutation,
+                              resolve_name, uniform)
 from hppcheck.certificate import shipped_store
 from hppcheck.matroid import Matroid
 
@@ -88,6 +89,16 @@ def test_p7pp_is_relaxation_of_p7p():
                 if not is_basis(p7p, t) and t != (1, 2, 3)]
     relaxed = Matroid.from_nonbases(7, 3, nonbases)
     assert relaxed.is_isomorphic(entry("P7pp").matroid) is not None
+
+
+def test_index_holds_each_core_once():
+    # no dual rows: no core has rank above its corank, so the checker
+    # never checks a catalog core through its dual
+    index = catalog_index()
+    for name, ent in catalog().items():
+        core, _ = ent.matroid.strip_absent()
+        assert core.rank <= core.corank(), name
+        assert [value for value, _ in index.lookup(core)] == [name]
 
 
 def test_resolve_name():

@@ -108,6 +108,69 @@ class TestSevenMatroids:
         assert replay_report(dual_rep, M.dual(), store)
 
 
+def refutation_leaf(report, M):
+    """Follow a REFUTED chain to its counterexample node; that node and
+    the matroid it speaks of."""
+    while True:
+        just = report.justification
+        kind = just["kind"]
+        assert report.verdict == REFUTED, kind
+        if kind == "counterexample":
+            return report, M
+        if kind == "minor_refuted":
+            op, e = just["op"], just["element"]
+            report = next(c["report"] for c in report.children
+                          if (c["op"], c["element"]) == (op, e))
+            M = M.contract(e) if op == "contract" else M.delete(e)
+            continue
+        if kind == "dual":
+            M = M.dual()
+        elif kind == "isomorphic":
+            M = M.relabeled(tuple(just["perm"]))
+        else:
+            raise AssertionError(f"REFUTED {kind} node")
+        report = just["inner"]
+
+
+class TestDuality:
+    @pytest.mark.parametrize("name", SEVEN)
+    def test_dual_is_checked_through_the_dual(self, name, store):
+        M = resolve_name(name).dual()
+        rep = StrongRayleighChecker(store, CheckOptions()).check(M)
+        assert rep.verdict == PROVED and replay_report(rep, M, store)
+        if name == "nP_d1":
+            # nP_d1's loop is a coloop of its dual, reduced first
+            assert rep.justification["kind"] == "reduction"
+            assert rep.justification["coloops"] == [1]
+            M, rep = M.contract(1), rep.justification["inner"]
+        if name == "V8":
+            # rank equals corank: the rule does not fire, and the
+            # certificate proves V8's dual through isomorphism
+            assert M.rank == M.corank()
+            assert resolved_kind(rep).justification["kind"] == "certificate"
+            return
+        assert M.rank > M.corank()
+        assert rep.justification["kind"] == "dual"
+        inner = rep.justification["inner"]
+        assert inner.verdict == PROVED
+        assert replay_report(inner, M.dual(), store)
+
+    @pytest.mark.parametrize("name", ["nP", "F7"])
+    def test_refuted_through_the_dual(self, name, store):
+        M = (Matroid.from_nonbases(7, 3, FANO_LINES) if name == "F7"
+             else resolve_name(name)).dual()
+        rep = StrongRayleighChecker(store, CheckOptions(refute=True)).check(M)
+        assert rep.verdict == REFUTED
+        assert rep.justification["kind"] == "dual"
+        assert replay_report(rep, M, store)
+        leaf, N = refutation_leaf(rep, M)
+        just = leaf.justification
+        point = [Fraction(x) for x in just["point"]]
+        value = Fraction(just["value"])
+        delta = rayleigh_diff_multiaffine(N.basis_polynomial(), *just["pair"])
+        assert value < 0 and delta.eval_rational(point) == value
+
+
 class TestCaseAnalyses:
     def test_v8_children(self, shared_checker):
         V8 = resolve_name("V8")
@@ -120,18 +183,16 @@ class TestCaseAnalyses:
         contract_kinds = set()
         delete_kinds = set()
         for child in one_element_minors(shared_checker, V8):
-            r = resolved_kind(child["report"])
-            j = r.justification
+            j = resolved_kind(child["report"]).justification
             if child["op"] == "contract":
-                if j["kind"] == "certificate":
-                    contract_kinds.add(j["catalog"])
-                elif j["kind"] == "known_hpp":
-                    contract_kinds.add(j["catalog"])
+                assert j["kind"] in ("certificate", "known_hpp")
+                contract_kinds.add(j["catalog"])
             else:
-                if j["kind"] == "dual_of":
-                    delete_kinds.add(j["catalog"])
-                elif j["kind"] == "known_hpp" and j.get("dual"):
-                    delete_kinds.add(j["catalog"])
+                # rank 4 on seven elements: checked through the dual
+                assert j["kind"] == "dual"
+                inner = resolved_kind(j["inner"]).justification
+                assert inner["kind"] in ("certificate", "known_hpp")
+                delete_kinds.add(inner["catalog"])
         assert contract_kinds == {"F7m4", "F7m5"}
         assert delete_kinds == {"F7m4", "F7m5"}
 
@@ -168,8 +229,11 @@ class TestCaseAnalyses:
         # of one, as the checker's single catalog match per minor records
         for child in one_element_minors(shared_checker, resolve_name("V8")):
             j = resolved_kind(child["report"]).justification
-            dual = j["kind"] == "dual_of" or j.get("dual", False)
-            name = j["catalog"] + ("*" if dual else "")
+            suffix = ""
+            if j["kind"] == "dual":
+                j = resolved_kind(j["inner"]).justification
+                suffix = "*"
+            name = j["catalog"] + suffix
             if child["op"] == "contract":
                 assert name in ("F7m4", "F7m5")
             else:
@@ -266,8 +330,8 @@ class TestMemoization:
         assert replay_report(rep_b, B, store)
 
     def test_relabeled_v8_proved_by_certificate(self, store):
-        # the cycle guard matches isomorphism classes: the dual_of route
-        # back to V8's own core is cut, so the certificate proves it
+        # V8's rank equals its corank, so the duality rule does not apply;
+        # the certificate proves V8 under any labels
         M = resolve_name("V8").relabeled((8, 7, 6, 5, 4, 3, 2, 1))
         assert M != resolve_name("V8")
         rep = StrongRayleighChecker(store, CheckOptions()).check(M)
@@ -353,20 +417,13 @@ def reference_replay(report, M, store):
         if report.verdict != PROVED or not ent.known_hpp:
             return False
         core, _ = ent.matroid.strip_absent()
-        target = core.dual() if just.get("dual") else core
-        return _reference_perm_maps(M, tuple(just["perm"]), target)
+        return _reference_perm_maps(M, tuple(just["perm"]), core)
 
-    if kind == "dual_of":
-        ent = entry(just["catalog"])
-        core, _ = ent.matroid.strip_absent()
-        if not _reference_perm_maps(M, tuple(just["perm"]), core.dual()):
-            return False
+    if kind == "dual":
         inner = just.get("inner")
-        if not isinstance(inner, CheckReport) or inner.verdict != PROVED:
+        if not isinstance(inner, CheckReport) or inner.verdict != report.verdict:
             return False
-        if not reference_replay(inner, core, store):
-            return False
-        return _reference_children(report, M, store)
+        return reference_replay(inner, _pure(M.dual), store)
 
     if kind == "certificate":
         ename = just["catalog"]
@@ -665,6 +722,29 @@ class TestReplaySoundness:
         assert not replay_report(forged, V8, store)
         assert not reference_replay(forged, V8, store)
 
+    def test_dual_node_with_another_verdict(self, store):
+        M = resolve_name("F7m4").dual()
+        rep = StrongRayleighChecker(store, CheckOptions()).check(M)
+        assert rep.justification["kind"] == "dual" and rep.verdict == PROVED
+        for verdict in (REFUTED, INCONCLUSIVE):
+            forged = dataclasses.replace(rep, verdict=verdict)
+            assert not replay_report(forged, M, store)
+            assert not reference_replay(forged, M, store)
+
+    @pytest.mark.parametrize("name", ["F7m4", "V8"])
+    def test_dual_node_whose_inner_report_is_for_m(self, name, store):
+        # the inner report holds for M itself, not for M*; V8* has V8's
+        # shape, so only its labels tell them apart
+        M = resolve_name(name)
+        assert M.dual() != M
+        rep = StrongRayleighChecker(store, CheckOptions()).check(M, name=name)
+        assert rep.verdict == PROVED and replay_report(rep, M, store)
+        forged = CheckReport(PROVED, "forged", M.m, M.rank, M.num_bases(),
+                             {"kind": "dual", "inner": rep,
+                              "provenance": checker_mod._PROV_DUAL})
+        assert not replay_report(forged, M, store)
+        assert not reference_replay(forged, M, store)
+
     def test_flipped_known_hpp_node(self, store):
         M = resolve_name("F7m5")
         rep = StrongRayleighChecker(store, CheckOptions()).check(M, name="F7m5")
@@ -707,9 +787,7 @@ class AllMinorChecker(StrongRayleighChecker):
         children = []
         for e in range(1, M.m + 1):
             for op, minor in (("contract", M.contract(e)), ("delete", M.delete(e))):
-                rep = self._check(minor)
-                if rep is None:
-                    return None
+                rep = self.check(minor)
                 children.append({"op": op, "element": e, "report": rep})
         refuted = next((c for c in children if c["report"].verdict == REFUTED),
                        None)
@@ -787,3 +865,5 @@ def test_linear_space_verdict_invariant(M, perm, store):
         assert replay_report(rep, variant, store)
         verdicts.add(rep.verdict)
     assert len(verdicts) == 1
+    # the dual has rank 4 on seven elements
+    assert rep.justification["kind"] == "dual"

@@ -97,6 +97,15 @@ class TestVerifyCert:
         code, _, err = run(capsys, "verify-cert", str(c))
         assert code == 2
 
+    def test_unknown_target_is_a_usage_error(self, capsys):
+        # once a quoted KeyError repr without "error:", exit 2
+        path = shipped_store_dir() / "v8_12.cert"
+        code, out, err = run(capsys, "verify-cert", str(path),
+                             "--target", "nosuch")
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and "'nosuch'" in err
+        assert err.count("\n") == 1
+
     def test_inline_target(self, capsys, tmp_path):
         c = tmp_path / "inline.cert"
         c.write_text(json.dumps({
@@ -222,6 +231,17 @@ class TestUsageAndHelp:
             code, out, err = run(capsys, "check-hpp", name)
             assert code == 3 and out == ""
             assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [("minor", "U_2_4", "del", "9"),
+                                      ("rdiff", "U_2_4", "1", "1"),
+                                      ("rdiff", "U_2_4", "1", "9"),
+                                      ("disc", "U_2_4", "1", "2", "2"),
+                                      ("disc", "U_2_4", "1", "2", "9")])
+    def test_bad_element_is_a_usage_error(self, capsys, argv):
+        # these once exited 4, the computation-error code
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [("check-hpp", "U_13_26"),
                                       ("bases", "U_10_20"),
