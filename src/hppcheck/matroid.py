@@ -22,7 +22,7 @@ from itertools import combinations
 from math import comb
 from typing import Any, Iterable, Iterator, Sequence
 
-from hppcheck.polynomial import Polynomial
+from hppcheck.polynomial import Polynomial, mask_key
 from hppcheck.rayleigh import rayleigh_diff_multiaffine
 
 # basis exchange is checked in time quadratic in the bases (about 1 s at
@@ -321,11 +321,9 @@ class Matroid:
     # -- basis-generating polynomial -----------------------------------------
 
     def basis_polynomial(self) -> Polynomial:
-        # distinct masks give distinct exponent tuples, each coefficient 1
-        m = self.m
+        # distinct masks give distinct keys, each coefficient 1
         return Polynomial._trusted(
-            m, {tuple(mask >> i & 1 for i in range(m)): 1
-                for mask in self._masks})
+            self.m, dict.fromkeys(map(mask_key, self._masks), 1), 1)
 
     # -- isomorphism -----------------------------------------------------------
 

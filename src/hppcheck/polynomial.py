@@ -1,11 +1,28 @@
 """Exact sparse multivariate polynomials over the rationals.
 
 Variables are y1..ym over a fixed ground set {1, ..., m}.  A polynomial is
-a map from exponent tuples (one small nonnegative integer per variable) to
-nonzero rational coefficients, stored as int when integral and as Fraction
-otherwise.  All arithmetic is exact; equality is exact term-wise equality
-(an int equals, and hashes like, the integral Fraction of the same value).
-Values are immutable after construction and safe to share across threads.
+a map from monomials to nonzero rational coefficients, stored as int when
+integral and as Fraction otherwise.  All arithmetic is exact; equality is
+exact term-wise equality (an int equals, and hashes like, the integral
+Fraction of the same value).  Values are immutable after construction and
+safe to share across threads.
+
+Inside a polynomial a monomial is a packed int key with one byte per
+variable, little-endian: y_i's exponent is byte i - 1, so the key of
+y1^a1 * ... * ym^am is int.from_bytes(bytes((a1, ..., am)), "little").
+A product's key is the sum of its factors' keys, contraction by y_e
+subtracts 1 << 8(e - 1), and deletion keeps the keys whose byte e - 1 is
+zero.  No exponent may exceed MAX_EXPONENT (255), so one byte never
+carries into the next: input with a larger exponent is rejected, and a
+product that could pass the cap raises ValueError before it is formed.
+Each polynomial carries a bound on its largest exponent for that check.
+
+Outside the class a monomial is an exponent tuple (a1, ..., am): the
+constructor takes a map from tuples to coefficients, and `terms` is the
+same kind of map, built from the keys on first read and cached.
+`coefficient`, `sorted_terms`, `eval_rational`, `permuted` and the text
+format read that view; the ring operations, minors and shape predicates
+read only the keys.
 
 Canonical term order is graded lexicographic: higher total degree first,
 ties broken by the exponent tuple in descending lexicographic order (y1
@@ -21,16 +38,22 @@ Text grammar (whitespace insignificant):
 Powers are written as repeated factors (y3*y3, never y3^2), e.g.
 
     1/2*y3*y7 + y4*y6 - y5*y7
+
+A variable may repeat at most MAX_EXPONENT times in one term.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 Coefficient = int | Fraction
+
+MAX_EXPONENT = 255
+
+# "0"/"1" digits of a binary numeral to the bytes 0/1
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class GroundSetMismatchError(ValueError):
@@ -41,50 +64,70 @@ class PolynomialParseError(ValueError):
     """Raised when polynomial text does not match the grammar."""
 
 
+def mask_key(mask: int) -> int:
+    """Packed key of the multiaffine monomial whose variables are the set
+    bits of mask: bit i becomes byte i, that is y_{i+1}."""
+    # the binary numeral lists bit m-1 first, so read its bytes big-endian
+    return int.from_bytes(f"{mask:b}".encode().translate(_BIT_BYTES), "big")
+
+
 def _graded_lex_key(exps: Exponents) -> tuple:
     return (-sum(exps), tuple(-e for e in exps))
 
 
-def _clean(terms: Mapping[Exponents, Coefficient]) -> dict[Exponents, Coefficient]:
+def _clean(terms: dict[int, Coefficient]) -> dict[int, Coefficient]:
     """Drop zero coefficients and store integral ones as int."""
-    return {e: c if type(c) is int else int(c.numerator) if c.denominator == 1 else c
-            for e, c in terms.items() if c}
+    return {k: c if type(c) is int else int(c.numerator) if c.denominator == 1 else c
+            for k, c in terms.items() if c}
 
 
 class Polynomial:
     """Immutable sparse polynomial over rational (int or Fraction) coefficients."""
 
-    __slots__ = ("m", "_terms", "_hash")
+    __slots__ = ("m", "_keys", "_top", "_view", "_hash")
 
     def __init__(self, m: int, terms: Mapping[Exponents, Coefficient] | None = None):
         if m < 0:
             raise ValueError("ground set size must be nonnegative")
-        acc: dict[Exponents, Coefficient] = {}
+        acc: dict[int, Coefficient] = {}
+        top = 0
         if terms:
             for exps, coeff in terms.items():
                 exps = tuple(int(e) for e in exps)
                 if len(exps) != m:
                     raise GroundSetMismatchError(
                         f"exponent tuple {exps} does not match ground set size {m}")
-                if any(e < 0 for e in exps):
+                if min(exps, default=0) < 0:
                     raise ValueError(f"negative exponent in {exps}")
+                high = max(exps, default=0)
+                if high > MAX_EXPONENT:
+                    raise ValueError(f"exponent above {MAX_EXPONENT} in {exps}")
+                key = int.from_bytes(bytes(exps), "little")
                 c = coeff if type(coeff) is int else Fraction(coeff)
-                prev = acc.get(exps)
-                acc[exps] = c if prev is None else prev + c
+                prev = acc.get(key)
+                acc[key] = c if prev is None else prev + c
+                if c and high > top:
+                    top = high
         self.m = m
-        self._terms = _clean(acc)
+        self._keys = _clean(acc)
+        self._top = top
+        self._view: dict[Exponents, Coefficient] | None = None
         self._hash: int | None = None
 
     @classmethod
-    def _trusted(cls, m: int, terms: dict[Exponents, Coefficient]) -> Polynomial:
-        """Wrap terms that are already clean, without checking them: every
-        exponent tuple has length m, no coefficient is zero and integral
-        ones are int.  The dict is taken over, not copied.  Only the ring
-        operations below and `Matroid.basis_polynomial` call this; input
-        from outside goes through __init__."""
+    def _trusted(cls, m: int, keys: dict[int, Coefficient], top: int) -> Polynomial:
+        """Wrap packed keys that are already clean, without checking them:
+        every key packs m exponents, no coefficient is zero, integral ones
+        are int, and no exponent exceeds top <= MAX_EXPONENT.  The dict is
+        taken over, not copied, and never changed afterwards.  Only the
+        ring operations, minors and relabelings below and
+        `Matroid.basis_polynomial` call this; input from outside goes
+        through __init__."""
         p = object.__new__(cls)
         p.m = m
-        p._terms = terms
+        p._keys = keys
+        p._top = top
+        p._view = None
         p._hash = None
         return p
 
@@ -114,20 +157,26 @@ class Polynomial:
 
     @property
     def terms(self) -> Mapping[Exponents, Coefficient]:
-        return self._terms
+        """Exponent tuple -> coefficient, in the order of the keys."""
+        view = self._view
+        if view is None:
+            m = self.m
+            view = self._view = {tuple(k.to_bytes(m, "little")): c
+                                 for k, c in self._keys.items()}
+        return view
 
     def coefficient(self, exps: Iterable[int]) -> Coefficient:
-        return self._terms.get(tuple(exps), 0)
+        return self.terms.get(tuple(exps), 0)
 
     def num_terms(self) -> int:
-        return len(self._terms)
+        return len(self._keys)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._keys
 
     def sorted_terms(self) -> list[tuple[Exponents, Coefficient]]:
         """Terms in canonical graded-lex order."""
-        return sorted(self._terms.items(), key=lambda kv: _graded_lex_key(kv[0]))
+        return sorted(self.terms.items(), key=lambda kv: _graded_lex_key(kv[0]))
 
     def __iter__(self) -> Iterator[tuple[Exponents, Coefficient]]:
         return iter(self.sorted_terms())
@@ -143,25 +192,32 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_m(other)
-        out = dict(self._terms)
+        out = dict(self._keys)
         get = out.get
-        for exps, c in other._terms.items():
-            prev = get(exps)
-            out[exps] = c if prev is None else prev + c
-        return Polynomial._trusted(self.m, _clean(out))
+        for k, c in other._keys.items():
+            prev = get(k)
+            out[k] = c if prev is None else prev + c
+        return Polynomial._trusted(self.m, _clean(out), max(self._top, other._top))
 
     def __sub__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self + (-other)
+        self._check_m(other)
+        out = dict(self._keys)
+        get = out.get
+        for k, c in other._keys.items():
+            prev = get(k)
+            out[k] = -c if prev is None else prev - c
+        return Polynomial._trusted(self.m, _clean(out), max(self._top, other._top))
 
     def __neg__(self) -> Polynomial:
-        return Polynomial._trusted(self.m, {e: -c for e, c in self._terms.items()})
+        return Polynomial._trusted(self.m, {k: -c for k, c in self._keys.items()},
+                                   self._top)
 
     def scalar_mul(self, value: Coefficient) -> Polynomial:
         v = value if type(value) is int else Fraction(value)
         return Polynomial._trusted(
-            self.m, _clean({e: c * v for e, c in self._terms.items()}))
+            self.m, _clean({k: c * v for k, c in self._keys.items()}), self._top)
 
     def __mul__(self, other: Polynomial | Coefficient) -> Polynomial:
         if isinstance(other, (int, Fraction)):
@@ -169,16 +225,20 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_m(other)
-        out: dict[Exponents, Coefficient] = {}
+        top = self._top + other._top
+        if top > MAX_EXPONENT:
+            raise ValueError(
+                f"product could have an exponent above {MAX_EXPONENT}")
+        # with every byte sum at most 255, adding keys adds exponent tuples
+        out: dict[int, Coefficient] = {}
         get = out.get
-        add = operator.add
-        right = list(other._terms.items())
-        for e1, c1 in self._terms.items():
-            for e2, c2 in right:
-                key = tuple(map(add, e1, e2))
-                prev = get(key)
-                out[key] = c1 * c2 if prev is None else prev + c1 * c2
-        return Polynomial._trusted(self.m, _clean(out))
+        right = list(other._keys.items())
+        for k1, c1 in self._keys.items():
+            for k2, c2 in right:
+                k = k1 + k2
+                prev = get(k)
+                out[k] = c1 * c2 if prev is None else prev + c1 * c2
+        return Polynomial._trusted(self.m, _clean(out), top)
 
     def __rmul__(self, other: Coefficient) -> Polynomial:
         if isinstance(other, (int, Fraction)):
@@ -202,23 +262,24 @@ class Polynomial:
         """Partial derivative with respect to y_e."""
         if not 1 <= e <= self.m:
             raise ValueError(f"variable index {e} outside ground set 1..{self.m}")
-        i = e - 1
-        # exps -> key is one-to-one on the terms that hold y_e, so nothing
+        shift = 8 * (e - 1)
+        unit = 1 << shift
+        # k -> k - unit is one-to-one on the terms that hold y_e, so nothing
         # accumulates; _clean only turns integral Fractions into int
-        out: dict[Exponents, Coefficient] = {}
-        for exps, c in self._terms.items():
-            k = exps[i]
-            if k:
-                out[exps[:i] + (k - 1,) + exps[i + 1:]] = c * k
-        return Polynomial._trusted(self.m, _clean(out))
+        out: dict[int, Coefficient] = {}
+        for k, c in self._keys.items():
+            a = k >> shift & 0xFF
+            if a:
+                out[k - unit] = c * a
+        return Polynomial._trusted(self.m, _clean(out), self._top)
 
     def delete(self, e: int) -> Polynomial:
         """Substitution y_e := 0."""
         if not 1 <= e <= self.m:
             raise ValueError(f"variable index {e} outside ground set 1..{self.m}")
-        i = e - 1
-        return Polynomial._trusted(self.m, {exps: c for exps, c in self._terms.items()
-                                            if exps[i] == 0})
+        byte = 0xFF << 8 * (e - 1)
+        return Polynomial._trusted(
+            self.m, {k: c for k, c in self._keys.items() if not k & byte}, self._top)
 
     # -- evaluation -----------------------------------------------------
 
@@ -228,7 +289,7 @@ class Polynomial:
                 f"point length {len(point)} does not match ground set size {self.m}")
         vals = [Fraction(x) for x in point]
         total = Fraction(0)
-        for exps, c in self._terms.items():
+        for exps, c in self.terms.items():
             term = c
             for v, e in zip(vals, exps):
                 if e:
@@ -239,25 +300,26 @@ class Polynomial:
     # -- predicates and shape -------------------------------------------
 
     def is_multiaffine(self) -> bool:
-        return all(e <= 1 for exps in self._terms for e in exps)
+        # a key has an exponent above 1 exactly when it meets some byte's
+        # bits 1..7
+        high = int.from_bytes(b"\xfe" * self.m, "little")
+        return not any(k & high for k in self._keys)
 
     def total_degree(self) -> int:
-        if not self._terms:
-            return 0
-        return max(sum(exps) for exps in self._terms)
+        m = self.m
+        return max((sum(k.to_bytes(m, "little")) for k in self._keys), default=0)
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(exps) for exps in self._terms}
+        m = self.m
+        degs = {sum(k.to_bytes(m, "little")) for k in self._keys}
         return len(degs) <= 1
 
     def support_variables(self) -> set[int]:
         """Indices of variables that actually occur."""
-        out: set[int] = set()
-        for exps in self._terms:
-            for i, e in enumerate(exps):
-                if e:
-                    out.add(i + 1)
-        return out
+        used = 0
+        for k in self._keys:
+            used |= k
+        return {i + 1 for i, a in enumerate(used.to_bytes(self.m, "little")) if a}
 
     # -- relabeling -------------------------------------------------------
 
@@ -268,14 +330,13 @@ class Polynomial:
         """
         if sorted(perm) != list(range(1, self.m + 1)):
             raise ValueError("perm is not a permutation of the ground set")
-        out: dict[Exponents, Coefficient] = {}
-        for exps, c in self._terms.items():
-            new = [0] * self.m
-            for i, e in enumerate(exps):
-                if e:
-                    new[perm[i] - 1] = e
-            out[tuple(new)] = c
-        return Polynomial._trusted(self.m, out)
+        out: dict[int, Coefficient] = {}
+        for exps, c in self.terms.items():
+            new = bytearray(self.m)
+            for i, a in enumerate(exps):
+                new[perm[i] - 1] = a
+            out[int.from_bytes(new, "little")] = c
+        return Polynomial._trusted(self.m, out, self._top)
 
     def padded(self, new_m: int) -> Polynomial:
         """Extend the ground set to new_m >= m; new variables are absent."""
@@ -284,23 +345,23 @@ class Polynomial:
                 f"cannot shrink ground set from {self.m} to {new_m}")
         if new_m == self.m:
             return self
-        pad = (0,) * (new_m - self.m)
-        return Polynomial._trusted(new_m, {exps + pad: c for exps, c in self._terms.items()})
+        # the new bytes are zero, so every key stays as it is
+        return Polynomial._trusted(new_m, self._keys, self._top)
 
     # -- equality and text -------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.m == other.m and self._terms == other._terms
+        return self.m == other.m and self._keys == other._keys
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.m, tuple(self.sorted_terms())))
+            self._hash = hash((self.m, frozenset(self._keys.items())))
         return self._hash
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._keys)
 
     def __str__(self) -> str:
         return format_polynomial(self)
@@ -410,6 +471,9 @@ def parse_polynomial(text: str, m: int | None = None) -> Polynomial:
             else:
                 assert v is not None
                 exps[v] = exps.get(v, 0) + 1
+                if exps[v] > MAX_EXPONENT:
+                    raise PolynomialParseError(
+                        f"y{v} repeats more than {MAX_EXPONENT} times in one term")
             if pos < len(tokens) and tokens[pos] == "*":
                 pos += 1
                 if pos >= len(tokens):

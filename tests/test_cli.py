@@ -301,15 +301,17 @@ class TestUsageAndHelp:
         {"pair": ["a", 2]},
         {"pair": [1, 1]},
         {"target": "y3 *"},
+        {"terms": [{"weight": "1", "poly": "*".join(["y1"] * 256)}]},
     ], ids=["pair_not_a_list", "target_not_text", "matroid_not_text",
-            "pair_not_integers", "pair_repeated", "target_unparsable"])
+            "pair_not_integers", "pair_repeated", "target_unparsable",
+            "term_exponent_above_255"])
     def test_malformed_certificate_is_a_parse_error(self, capsys, tmp_path,
                                                     fields):
         # the first three once ended in a traceback with exit 1, the
         # FAIL code, and a non-integer pair in exit 4
         path = tmp_path / "bad.cert"
         path.write_text(json.dumps(
-            {**fields, "terms": [{"weight": "1", "poly": "y3"}]}))
+            {"terms": [{"weight": "1", "poly": "y3"}], **fields}))
         code, out, err = run(capsys, "verify-cert", str(path))
         assert code == 3
         assert out == ""
@@ -390,8 +392,9 @@ class TestUsageAndHelp:
         ["sos-search", "{poly}"], ["sample", "{poly}", "--mode", "hpp"],
         ["verify-cert", "{cert}", "--target", "{poly}"],
     ], ids=["rdiff", "disc", "sos-search", "sample", "verify-cert"])
-    @pytest.mark.parametrize("text", ["y1*y2 + y3^2", "y0"],
-                             ids=["caret", "y0"])
+    @pytest.mark.parametrize("text", ["y1*y2 + y3^2", "y0",
+                                      "*".join(["y1"] * 256) + " + y2*y3"],
+                             ids=["caret", "y0", "exponent_above_255"])
     def test_malformed_polynomial_file_is_a_parse_error(self, capsys, tmp_path,
                                                         argv, text):
         # these once exited 4, the computation-error code

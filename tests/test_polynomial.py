@@ -1,13 +1,20 @@
+import hashlib
+import operator
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hppcheck.polynomial import (GroundSetMismatchError, Polynomial,
-                                 PolynomialParseError, format_polynomial,
-                                 parse_polynomial)
+from hppcheck.catalog import CATALOG_NAMES, entry
+from hppcheck.certificate import (certificate_from_text, certificate_to_text,
+                                  shipped_store_dir)
+from hppcheck.polynomial import (MAX_EXPONENT, GroundSetMismatchError,
+                                 Polynomial, PolynomialParseError,
+                                 format_polynomial, mask_key, parse_polynomial)
+from hppcheck.rayleigh import discriminant, rayleigh_diff
 
 from conftest import random_multiaffine
 
@@ -231,3 +238,181 @@ class TestCleanCore:
         assert p == q and hash(p) == hash(q) and str(p) == str(q) == "3*y1*y3*y3"
         assert type(p.coefficient(e)) is int
         assert type(Polynomial(3, {e: Fraction(1, 2)}).scalar_mul(2).coefficient(e)) is int
+
+
+# -- packed keys against the tuple-keyed reference ------------------------------
+#
+# The kernel below keys terms by exponent tuples, the direct representation;
+# it is the reference that every operation on packed keys must match.
+
+def _ref_clean(terms):
+    return {e: c if type(c) is int else int(c.numerator) if c.denominator == 1 else c
+            for e, c in terms.items() if c}
+
+
+def ref_add(s, t):
+    out = dict(s)
+    for exps, c in t.items():
+        prev = out.get(exps)
+        out[exps] = c if prev is None else prev + c
+    return _ref_clean(out)
+
+
+def ref_mul(s, t):
+    out = {}
+    right = list(t.items())
+    for e1, c1 in s.items():
+        for e2, c2 in right:
+            key = tuple(map(operator.add, e1, e2))
+            prev = out.get(key)
+            out[key] = c1 * c2 if prev is None else prev + c1 * c2
+    return _ref_clean(out)
+
+
+def ref_contract(s, e):
+    i = e - 1
+    out = {}
+    for exps, c in s.items():
+        k = exps[i]
+        if k:
+            out[exps[:i] + (k - 1,) + exps[i + 1:]] = c * k
+    return _ref_clean(out)
+
+
+def ref_delete(s, e):
+    return {exps: c for exps, c in s.items() if exps[e - 1] == 0}
+
+
+def ref_neg(s):
+    return {exps: -c for exps, c in s.items()}
+
+
+def top(p):
+    """The largest exponent in p's tuple view."""
+    return max((max(exps, default=0) for exps in p.terms), default=0)
+
+
+@st.composite
+def polynomial_pairs(draw):
+    """Two polynomials on m <= 8 variables with exponents 0..3; each may
+    hold one term with an exponent 126..128, so products reach 254 and 255,
+    and pass the cap at 256."""
+    m = draw(st.integers(0, 8))
+    exponents = st.tuples(*[st.integers(0, 3)] * m)
+
+    def polynomial():
+        terms = draw(st.dictionaries(exponents, rationals, max_size=6))
+        if m and draw(st.booleans()):
+            exps = list(draw(exponents))
+            exps[draw(st.integers(0, m - 1))] = draw(st.integers(126, 128))
+            terms[tuple(exps)] = draw(rationals)
+        return Polynomial(m, terms)
+
+    return polynomial(), polynomial()
+
+
+def assert_matches(r, want):
+    """r's terms are want's, in the same order (`sos_search` reads them in
+    order), and the predicates read from the keys agree with the view."""
+    assert list(r.terms.items()) == list(want.items())
+    assert_clean(r)
+    assert r.num_terms() == len(want) and r.is_zero() == (not want) == (not r)
+    assert r.is_multiaffine() == all(e <= 1 for exps in want for e in exps)
+    assert r.total_degree() == max((sum(exps) for exps in want), default=0)
+    assert r.support_variables() == {i + 1 for exps in want
+                                     for i, e in enumerate(exps) if e}
+    same = Polynomial(r.m, want)
+    assert r == same and hash(r) == hash(same)
+
+
+class TestPackedKeys:
+    @given(polynomial_pairs(), rationals)
+    def test_ring_operations_match_reference(self, pair, c):
+        p, q = pair
+        s, t = p.terms, q.terms
+        assert_matches(p + q, ref_add(s, t))
+        assert_matches(p - q, ref_add(s, ref_neg(t)))
+        assert_matches(-p, ref_neg(s))
+        assert_matches(p.scalar_mul(c), _ref_clean({e: a * c for e, a in s.items()}))
+        for a, b, x, y in ((p, q, s, t), (p, p, s, s), (p + q, p - q,
+                                                        ref_add(s, t),
+                                                        ref_add(s, ref_neg(t)))):
+            if top(a) + top(b) > MAX_EXPONENT:
+                with pytest.raises(ValueError):
+                    a * b
+            else:
+                assert_matches(a * b, ref_mul(x, y))
+        if 2 * top(p) > MAX_EXPONENT:
+            with pytest.raises(ValueError):
+                p.square()
+            with pytest.raises(ValueError):
+                p ** 2
+        else:
+            assert_matches(p.square(), ref_mul(s, s))
+            assert_matches(p ** 2, ref_mul(ref_mul({(0,) * p.m: 1}, s), s))
+        # terms that cancel: p*q - q*p and (p + q)*(p - q) - (p*p - q*q)
+        if top(p) + top(q) <= MAX_EXPONENT and 2 * max(top(p), top(q)) <= MAX_EXPONENT:
+            assert_matches(p * q - q * p, {})
+            assert_matches((p + q) * (p - q) - (p * p - q * q), {})
+
+    @given(polynomial_pairs(), st.randoms(use_true_random=False))
+    def test_minors_and_relabeling_match_reference(self, pair, rng):
+        p, q = pair
+        s = p.terms
+        for e in range(1, p.m + 1):
+            assert_matches(p.contract(e), ref_contract(s, e))
+            assert_matches(p.delete(e), ref_delete(s, e))
+        perm = list(range(1, p.m + 1))
+        rng.shuffle(perm)
+        moved = {}
+        for exps, c in s.items():
+            new = [0] * p.m
+            for i, e in enumerate(exps):
+                new[perm[i] - 1] = e
+            moved[tuple(new)] = c
+        assert_matches(p.permuted(perm), moved)
+        assert_matches(p.padded(p.m + 2), {exps + (0, 0): c for exps, c in s.items()})
+        assert (p == q) == (s == q.terms)
+        assert (p == p.padded(p.m + 1)) is False
+
+    def test_mask_key_packs_bit_i_into_byte_i(self):
+        for mask in range(1 << 9):
+            exps = tuple(mask >> i & 1 for i in range(9))
+            assert mask_key(mask) == int.from_bytes(bytes(exps), "little")
+
+    def test_exponent_cap(self):
+        y1 = Polynomial.variable(1, 1)
+        assert dict((y1 ** 255).terms) == {(255,): 1}
+        with pytest.raises(ValueError):
+            y1 ** 256
+        with pytest.raises(ValueError):
+            (y1 ** 128).square()
+        with pytest.raises(ValueError):
+            Polynomial(2, {(0, 256): 1})
+        assert parse_polynomial("*".join(["y1"] * 255)) == y1 ** 255
+        with pytest.raises(PolynomialParseError):
+            parse_polynomial("*".join(["y1"] * 256))
+
+
+def output_text() -> str:
+    """Every printed Rayleigh difference of every catalog matroid, one
+    seeded discriminant per matroid, and every shipped certificate's text."""
+    lines = []
+    rng = random.Random(13)
+    for name in CATALOG_NAMES:
+        M = entry(name).matroid
+        Z = M.basis_polynomial()
+        for e, f in combinations(range(1, M.m + 1), 2):
+            lines.append(f"{name} rdiff {e} {f}: {format_polynomial(rayleigh_diff(Z, e, f))}")
+        live = [e for e in range(1, M.m + 1) if e not in M.loops()]
+        triple = rng.sample(live, 3)
+        lines.append(f"{name} disc {triple}: {format_polynomial(discriminant(Z, *triple))}")
+    for path in sorted(shipped_store_dir().glob("*.cert")):
+        lines.append(certificate_to_text(certificate_from_text(path.read_text())))
+    return "\n".join(lines)
+
+
+def test_output_text_is_pinned():
+    # the digest of output_text() as the tuple-keyed implementation printed it
+    digest = hashlib.sha256(output_text().encode()).hexdigest()
+    assert digest == "2368b15a54c8125f3df743ce74f2b12d833d160bffa343fed0b959611f78baf9"
