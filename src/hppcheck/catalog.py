@@ -47,8 +47,10 @@ class CatalogEntry:
     name: str
     matroid: Matroid
     provenance: str
-    known_hpp: bool = False          # nonnegativity imported as an external fact
-    cert_pair: tuple[int, int] | None = None
+    known_hpp: bool                  # nonnegativity imported as an external fact
+    cert_pair: tuple[int, int] | None
+    core: Matroid                    # the loop-free core the index holds
+    strip_map: dict[int, int]        # entry labels -> core labels
 
 
 # literature-style constructions: name -> (m, rank, nonbases, provenance)
@@ -138,28 +140,19 @@ _cache: dict[str, CatalogEntry] = {}
 
 def _build(name: str) -> CatalogEntry:
     if name == "U_2_4":
-        return CatalogEntry("U_2_4", uniform(2, 4),
-                            "Uniform matroid on four elements.", False, None)
-    if name == "nP_d1":
-        base = entry("nP").matroid
-        mat = base.remove_as_loop(1)
-        mat.name = "nP_d1"
-        return CatalogEntry(
-            "nP_d1", mat,
-            "nP with element 1 deleted, labels kept (1 becomes a loop) so "
-            "the certificate variable names match.",
-            False, CERT_PAIRS["nP_d1"])
-    if name == "nP_d9":
-        base = entry("nP").matroid
-        mat = base.delete(9)
-        mat.name = "nP_d9"
-        return CatalogEntry("nP_d9", mat, "nP with element 9 deleted.",
-                            False, CERT_PAIRS["nP_d9"])
-    m, rank, nonbases, prov = _LITERATURE[name]
-    mat = Matroid.from_nonbases(m, rank, nonbases).relabeled(_PINS[name])
+        mat, prov = uniform(2, 4), "Uniform matroid on four elements."
+    elif name == "nP_d1":
+        mat = entry("nP").matroid.remove_as_loop(1)
+        prov = ("nP with element 1 deleted, labels kept (1 becomes a loop) "
+                "so the certificate variable names match.")
+    elif name == "nP_d9":
+        mat, prov = entry("nP").matroid.delete(9), "nP with element 9 deleted."
+    else:
+        m, rank, nonbases, prov = _LITERATURE[name]
+        mat = Matroid.from_nonbases(m, rank, nonbases).relabeled(_PINS[name])
     mat.name = name
     return CatalogEntry(name, mat, prov, name in KNOWN_HPP,
-                        CERT_PAIRS.get(name))
+                        CERT_PAIRS.get(name), *mat.strip_absent())
 
 
 def entry(name: str) -> CatalogEntry:
@@ -184,8 +177,7 @@ def catalog_index() -> IsoTable:
     """
     index = IsoTable()
     for name in CATALOG_NAMES:
-        core, _ = entry(name).matroid.strip_absent()
-        index.add(core, name)
+        index.add(entry(name).core, name)
     return index
 
 

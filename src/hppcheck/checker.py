@@ -34,7 +34,7 @@ from typing import Any
 
 from hppcheck import sampler as sampler_mod
 from hppcheck import sos_search as sos_mod
-from hppcheck.catalog import catalog_index, entry
+from hppcheck.catalog import CatalogEntry, catalog_index, entry
 from hppcheck.certificate import (CertificateStore, SosCertificate,
                                  format_fraction, verify)
 from hppcheck.matroid import IsoTable, Matroid
@@ -157,10 +157,11 @@ class StrongRayleighChecker:
     """Runs the recursion, memoized over isomorphism classes of minors.
 
     The memo and the catalog index are `IsoTable`s: isomorphic minors of
-    any size share one report tree, and every catalog match (known facts,
-    certificates) filters one lookup per matroid in the index built here.
-    Every step leads to a smaller matroid, or from a matroid to its dual of
-    smaller rank, so no check leads back to a class still being checked.
+    any size share one report tree, and a class meets the index built here
+    once, in one match (the index holds each entry's core once) that gives
+    its `known_hpp` fact or its verified store pairs.  Every step leads to
+    a smaller matroid, or from a matroid to its dual of smaller rank, so no
+    check leads back to a class still being checked.
     """
 
     def __init__(self, store: CertificateStore, options: CheckOptions | None = None):
@@ -168,7 +169,6 @@ class StrongRayleighChecker:
         self.options = options or CheckOptions()
         # value (M, report) per checked isomorphism class
         self._memo = IsoTable()
-        self._verified_entry_pairs: dict[tuple[str, tuple[int, int]], bool] = {}
         self._index = catalog_index()
 
     # -- public API -----------------------------------------------------
@@ -186,19 +186,25 @@ class StrongRayleighChecker:
         self._memo.add(M, (M, report))
         return report
 
-    def check_pair_nonnegativity(self, M: Matroid, pair: tuple[int, int],
-                                 matches: list | None = None) -> dict | None:
+    def check_pair_nonnegativity(self, M: Matroid,
+                                 pair: tuple[int, int]) -> dict | None:
         """Evidence that the Rayleigh difference of `pair` is globally
-        nonnegative: a verified store certificate or a searched one.
+        nonnegative: a verified certificate of the store entry matching M,
+        or, with `search`, a searched one.
 
-        `matches` is M's catalog lookup, when the caller already has it.
         Sampling can never establish nonnegativity, so absence of evidence
         returns None.
         """
-        if matches is None:
-            matches = list(self._index.lookup(M))
+        match = next(self._index.lookup(M), None)
+        return self._pair_evidence(M, pair, self._certified_pairs(match))
+
+    # -- internals --------------------------------------------------------
+
+    def _pair_evidence(self, M: Matroid, pair: tuple[int, int],
+                       certified: dict[tuple[int, int], dict]) -> dict | None:
+        """`pair`'s entry in `certified`, else a searched certificate."""
         e, f = sorted(pair)
-        just = self._certified_pairs(M, matches).get((e, f))
+        just = certified.get((e, f))
         if just is not None or not self.options.search:
             return just
         target = rayleigh_diff_multiaffine(M.basis_polynomial(), e, f)
@@ -209,8 +215,6 @@ class StrongRayleighChecker:
                 "certificate": {
                     "terms": [[format_fraction(w), format_polynomial(q)]
                               for w, q in cert.terms]}}
-
-    # -- internals --------------------------------------------------------
 
     def _display_name(self, M: Matroid, name: str | None) -> str:
         if name:
@@ -260,22 +264,23 @@ class StrongRayleighChecker:
                            {"kind": "dual", "inner": inner,
                             "provenance": _PROV_DUAL})
 
-        # (entry name, perm) of every catalog row matching M
-        matches = list(self._index.lookup(M))
-        for ename, perm in matches:
-            if entry(ename).known_hpp:
-                return _report(M, disp, PROVED,
-                               {"kind": "known_hpp", "catalog": ename,
-                                "perm": list(perm), "provenance": _PROV_KNOWN})
+        # (entry name, perm) of the one catalog row matching M, if any
+        match = next(self._index.lookup(M), None)
+        if match is not None and entry(match[0]).known_hpp:
+            ename, perm = match
+            return _report(M, disp, PROVED,
+                           {"kind": "known_hpp", "catalog": ename,
+                            "perm": list(perm), "provenance": _PROV_KNOWN})
 
-        return self._recursion(M, disp, matches)
+        return self._recursion(M, disp, self._certified_pairs(match))
 
-    def _recursion(self, M: Matroid, disp: str, matches: list) -> CheckReport:
-        """Theorem 3, one pair at a time: store pairs first, then every
-        other pair in lexicographic order.  The four minors of each pair
-        are checked (once per call); a refuted one refutes M, and four
-        PROVED minors with evidence for the pair prove it."""
-        certified = self._certified_pairs(M, matches)
+    def _recursion(self, M: Matroid, disp: str,
+                   certified: dict[tuple[int, int], dict]) -> CheckReport:
+        """Theorem 3, one pair at a time: the `certified` store pairs
+        first, then every other pair in lexicographic order.  The four
+        minors of each pair are checked (once per call); a refuted one
+        refutes M, and four PROVED minors with evidence for the pair prove
+        it."""
         pairs = list(certified) + [p for p in combinations(range(1, M.m + 1), 2)
                                    if p not in certified]
         minors: dict[tuple[str, int], dict[str, Any]] = {}
@@ -297,7 +302,7 @@ class StrongRayleighChecker:
                                            list(minors.values()))
                     four.append(child)
             if all(c["report"].verdict == PROVED for c in four):
-                evidence = self.check_pair_nonnegativity(M, pair, matches)
+                evidence = self._pair_evidence(M, pair, certified)
                 if evidence is not None:
                     return _report(M, disp, PROVED, evidence, four)
 
@@ -311,34 +316,26 @@ class StrongRayleighChecker:
 
     # -- pair nonnegativity -------------------------------------------------
 
-    def _certified_pairs(self, M: Matroid,
-                         matches: list) -> dict[tuple[int, int], dict]:
+    def _certified_pairs(self, match: tuple | None) -> dict[tuple, dict]:
         """M's pairs (in M's labels, store order) with a verified store
-        certificate, each mapped to its justification."""
-        # the first catalog entry with store pairs whose core is M's class
-        ename, perm = next(((ename, perm) for ename, perm in matches
-                            if self.store.pairs_for(ename)), (None, None))
-        if ename is None:
+        certificate, each mapped to its justification; `match` is M's
+        (entry name, perm) catalog match, or None."""
+        if match is None:
             return {}
+        ename, perm = match
+        ent = entry(ename)
         out = {}
         for epair in self.store.pairs_for(ename):
-            if not self._verify_entry_pair(ename, epair):
+            if not _entry_certificate_verifies(self.store, ename, epair):
                 continue
-            m_pair = _entry_pair_in_m(ename, perm, epair)
+            m_pair = _entry_pair_in_m(ent, perm, epair)
             just = {"kind": "certificate", "catalog": ename,
                     "pair": list(epair), "m_pair": list(m_pair),
                     "perm": list(perm)}
-            if entry(ename).matroid.loops():
+            if ent.matroid.loops():
                 just["note"] = _LOOP_NOTE
             out[m_pair] = just
         return out
-
-    def _verify_entry_pair(self, ename: str, pair: tuple[int, int]) -> bool:
-        key = (ename, tuple(sorted(pair)))
-        if key not in self._verified_entry_pairs:
-            self._verified_entry_pairs[key] = _entry_certificate_verifies(
-                self.store, ename, pair)
-        return self._verified_entry_pairs[key]
 
     # -- refutation ----------------------------------------------------------
 
@@ -448,21 +445,18 @@ def _replay_node(report: CheckReport, M: Matroid, store: CertificateStore,
         return False
 
     if kind == "known_hpp":
-        ent = entry(just["catalog"])
-        if report.verdict != PROVED or not ent.known_hpp:
-            return False
-        core, _ = ent.matroid.strip_absent()
-        return _perm_maps(M, tuple(just["perm"]), core)
+        ent = _cited_entry(just, M)
+        return report.verdict == PROVED and ent is not None and ent.known_hpp
 
     if kind in ("certificate", "sos_search"):
         pair = tuple(just["pair"])
         if kind == "certificate":
             # M's pair, recomputed from the entry pair (never from m_pair)
-            core, _ = entry(just["catalog"]).matroid.strip_absent()
-            if not _perm_maps(M, tuple(just["perm"]), core):
+            ent = _cited_entry(just, M)
+            if ent is None:
                 return False
             try:
-                pair = _entry_pair_in_m(just["catalog"], just["perm"], pair)
+                pair = _entry_pair_in_m(ent, just["perm"], pair)
             except KeyError:
                 return False
         if (report.verdict != PROVED
@@ -516,6 +510,16 @@ def _perm_maps(M: Matroid, perm: tuple[int, ...], target: Matroid) -> bool:
         return False
 
 
+def _cited_entry(just: dict[str, Any], M: Matroid) -> CatalogEntry | None:
+    """The catalog entry a `known_hpp` or `certificate` node cites, when
+    the entry exists and the node's `perm` maps M onto the entry's core."""
+    try:
+        ent = entry(just["catalog"])
+    except KeyError:
+        return None
+    return ent if _perm_maps(M, tuple(just["perm"]), ent.core) else None
+
+
 def _entry_certificate_verifies(store: CertificateStore, ename: str,
                                 epair: list[int] | tuple[int, ...]) -> bool:
     cert = store.lookup(ename, tuple(epair))
@@ -523,14 +527,13 @@ def _entry_certificate_verifies(store: CertificateStore, ename: str,
         entry(ename).matroid.basis_polynomial(), *epair)))
 
 
-def _entry_pair_in_m(ename: str, perm: list[int] | tuple[int, ...],
+def _entry_pair_in_m(ent: CatalogEntry, perm: list[int] | tuple[int, ...],
                      epair: list[int] | tuple[int, ...]) -> tuple[int, ...]:
     """A catalog entry's pair in the labels of a matroid M that `perm`
     maps onto the entry's core: entry -> core by the strip map, core -> M
     by the inverse of `perm`."""
-    _, strip_map = entry(ename).matroid.strip_absent()
     inv = {p: i + 1 for i, p in enumerate(perm)}
-    return tuple(sorted(inv[strip_map[x]] for x in epair))
+    return tuple(sorted(inv[ent.strip_map[x]] for x in epair))
 
 
 def _replay_children(report: CheckReport, M: Matroid, store: CertificateStore,

@@ -124,6 +124,8 @@ def _cmd_bases(args) -> int:
 def _cmd_minor(args) -> int:
     M = _load_matroid(args.name)
     _check_elements(M.m, args.element)
+    if M.m == 1:
+        raise UsageError("a one-element matroid has no nonempty minor")
     if args.op == "del":
         out = M.delete(args.element)
     else:
@@ -170,6 +172,7 @@ def _cmd_verify_cert(args) -> int:
     if args.target:
         target = _load_polynomial(args.target)
         if cert.matroid_name and args.target == cert.matroid_name and cert.pair:
+            _check_elements(target.m, *cert.pair)
             target = rayleigh_diff(target, *cert.pair)
     elif cert.target is not None:
         target = cert.target
@@ -180,6 +183,7 @@ def _cmd_verify_cert(args) -> int:
             print(f"certificate names unknown matroid {cert.matroid_name!r}; "
                   f"pass --target", file=sys.stderr)
             return EXIT_INCONCLUSIVE
+        _check_elements(M.m, *cert.pair)
         target = rayleigh_diff(M.basis_polynomial(), *cert.pair)
     else:
         print("certificate has no target; pass --target", file=sys.stderr)

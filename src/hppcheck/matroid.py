@@ -125,11 +125,6 @@ class Matroid:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def from_bases(cls, m: int, rank: int, bases: Iterable[Iterable[int]],
-                   name: str | None = None) -> Matroid:
-        return cls(m, rank, bases, name=name)
-
-    @classmethod
     def from_nonbases(cls, m: int, rank: int, nonbases: Iterable[Iterable[int]],
                       name: str | None = None) -> Matroid:
         """All r-subsets of {1..m} except the listed ones."""
@@ -557,7 +552,7 @@ def matroid_from_text(text: str) -> Matroid:
                     for s in subsets)):
         raise MatroidParseError(f"invalid matroid file: '{key}' must be a "
                                 "list of lists of integers")
-    build = Matroid.from_bases if key == "bases" else Matroid.from_nonbases
+    build = Matroid if key == "bases" else Matroid.from_nonbases
     try:
         return build(m, rank, subsets, name=name)
     except ValueError as exc:

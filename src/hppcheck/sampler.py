@@ -30,6 +30,10 @@ STABLE_EVIDENCE = "STABLE_EVIDENCE"
 
 _MODES = (RAYLEIGH, STRONG_RAYLEIGH, HPP_EVIDENCE, STABLE_EVIDENCE)
 
+# coordinate descent per pair: start points, and steps taken from each
+RESTARTS = 50
+STEPS = 500
+
 
 @dataclass(frozen=True)
 class SampleConfig:
@@ -38,16 +42,12 @@ class SampleConfig:
     box: tuple[float, float] | None = None   # per-coordinate bounds
     seed: int = 0
     descent: bool = True
-    restarts: int = 50
-    steps: int = 500
 
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.restarts < 0 or self.steps < 0:
-            raise ValueError("restarts and steps must be >= 0")
         lo, hi = self.bounds()
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"box bounds must be finite, got {lo} {hi}")
@@ -213,11 +213,10 @@ def falsify(Z: Polynomial, config: SampleConfig) -> Counterexample | None:
                     return found
         if config.descent:
             best_points.sort(key=lambda t: t[0])
-            starts = [p for _, p in best_points[:config.restarts]]
-            while len(starts) < config.restarts:
+            starts = [p for _, p in best_points[:RESTARTS]]
+            while len(starts) < RESTARTS:
                 starts.append(rng.uniform(lo, hi, size=m))
-            ends = _descend(comp, starts, lo, hi,
-                            config.steps) if starts else []
+            ends = _descend(comp, starts, lo, hi, STEPS) if starts else []
             for pt in ends:
                 if comp.eval_one(pt) < 0:
                     found = _exact_candidate(delta, (e, f), pt)

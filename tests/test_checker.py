@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -413,8 +414,8 @@ def reference_replay(report, M, store):
         return False
 
     if kind == "known_hpp":
-        ent = entry(just["catalog"])
-        if report.verdict != PROVED or not ent.known_hpp:
+        ent = _reference_entry(just["catalog"])
+        if report.verdict != PROVED or ent is None or not ent.known_hpp:
             return False
         core, _ = ent.matroid.strip_absent()
         return _reference_perm_maps(M, tuple(just["perm"]), core)
@@ -427,7 +428,9 @@ def reference_replay(report, M, store):
 
     if kind == "certificate":
         ename = just["catalog"]
-        ent = entry(ename)
+        ent = _reference_entry(ename)
+        if ent is None:
+            return False
         core, strip_map = ent.matroid.strip_absent()
         perm = tuple(just["perm"])
         cert = store.lookup(ename, tuple(just["pair"]))
@@ -470,6 +473,14 @@ def reference_replay(report, M, store):
         return report.verdict == INCONCLUSIVE
 
     return False
+
+
+def _reference_entry(ename):
+    """The catalog entry a node cites, or None for an unknown name."""
+    try:
+        return entry(ename)
+    except KeyError:
+        return None
 
 
 def _reference_perm_maps(M, perm, target):
@@ -755,6 +766,27 @@ class TestReplaySoundness:
             assert not replay_report(forged, M, store)
             assert not reference_replay(forged, M, store)
 
+    @pytest.mark.parametrize("forgery", ["unknown_entry", "short_perm",
+                                         "long_perm"])
+    @pytest.mark.parametrize("name,kind", [("F7m5", "known_hpp"),
+                                           ("F7m4", "certificate")])
+    def test_forged_cited_entry(self, name, kind, forgery, store):
+        # an unknown entry once made both replays raise KeyError
+        M = resolve_name(name)
+        rep = StrongRayleighChecker(store, CheckOptions()).check(M, name=name)
+        assert rep.justification["kind"] == kind
+        assert replay_report(rep, M, store)
+        just = dict(rep.justification)
+        if forgery == "unknown_entry":
+            just["catalog"] = "nosuch"
+        elif forgery == "short_perm":
+            just["perm"] = just["perm"][:-1]
+        else:
+            just["perm"] = just["perm"] + [M.m + 1]
+        forged = dataclasses.replace(rep, justification=just)
+        assert replay_report(forged, M, store) is False
+        assert reference_replay(forged, M, store) is False
+
     def test_childless_sos_search_node(self, store):
         # F7 + U_1_2: Delta_89 = Z_F7^2, so one square certifies the pair,
         # yet M/8 is F7 with a loop, which lacks the half-plane property
@@ -783,7 +815,7 @@ class AllMinorChecker(StrongRayleighChecker):
     never contradict; its reports list all 2m minors, so they are not
     replayed."""
 
-    def _recursion(self, M, disp, matches):
+    def _recursion(self, M, disp, certified):
         children = []
         for e in range(1, M.m + 1):
             for op, minor in (("contract", M.contract(e)), ("delete", M.delete(e))):
@@ -798,7 +830,7 @@ class AllMinorChecker(StrongRayleighChecker):
             return checker_mod._report(M, disp, REFUTED, just, children)
         if all(c["report"].verdict == PROVED for c in children):
             for pair in combinations(range(1, M.m + 1), 2):
-                evidence = self.check_pair_nonnegativity(M, pair, matches)
+                evidence = self._pair_evidence(M, pair, certified)
                 if evidence is not None:
                     return checker_mod._report(M, disp, PROVED, evidence, children)
         if self.options.refute:
@@ -841,6 +873,34 @@ class TestPairRuleAgainstAllMinors:
             for node in walk(new):
                 if node.justification["kind"] in ("certificate", "sos_search"):
                     assert len(node.children) == 4, how
+
+
+# the cases of the benchmark's `check` workload: (name, refute)
+CHECK_CASES = ([(name, False) for name in HPP_NINE]
+               + [("nP", False), ("nP", True), ("F7", True), ("U_3_3", False)])
+
+
+@pytest.mark.parametrize("name,refute", CHECK_CASES,
+                         ids=[f"{n}{'-refute' if r else ''}"
+                              for n, r in CHECK_CASES])
+def test_each_store_pair_verified_once(name, refute, store, monkeypatch):
+    # each class meets the catalog once, so a checker verifies a store
+    # (entry, pair) at most once without caching the outcome
+    calls = Counter()
+    verifies = checker_mod._entry_certificate_verifies
+
+    def counting(store_, ename, epair):
+        calls[ename, tuple(sorted(epair))] += 1
+        return verifies(store_, ename, epair)
+
+    monkeypatch.setattr(checker_mod, "_entry_certificate_verifies", counting)
+    for how, M in _variants(name):
+        calls.clear()
+        StrongRayleighChecker(store, CheckOptions(refute=refute)).check(M)
+        assert all(n == 1 for n in calls.values()), (how, calls)
+        if name in SEVEN:
+            # the matroid's own entry is among those verified
+            assert any(ename == name for ename, _ in calls), how
 
 
 @st.composite

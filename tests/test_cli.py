@@ -106,6 +106,20 @@ class TestVerifyCert:
         assert err.startswith("error:") and "'nosuch'" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("target", [(), ("--target", "U_2_4")],
+                             ids=["named", "target"])
+    def test_pair_outside_ground_set_is_a_usage_error(self, capsys, tmp_path,
+                                                      target):
+        # once exit 4, the computation-error code; `rdiff U_2_4 1 9` exits 3
+        c = tmp_path / "outside.cert"
+        c.write_text(json.dumps({
+            "matroid": "U_2_4", "pair": [1, 9],
+            "terms": [{"weight": "1", "poly": "y3"}]}))
+        code, out, err = run(capsys, "verify-cert", str(c), *target)
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and "element 9" in err
+        assert err.count("\n") == 1
+
     def test_inline_target(self, capsys, tmp_path):
         c = tmp_path / "inline.cert"
         c.write_text(json.dumps({
@@ -236,9 +250,12 @@ class TestUsageAndHelp:
                                       ("rdiff", "U_2_4", "1", "1"),
                                       ("rdiff", "U_2_4", "1", "9"),
                                       ("disc", "U_2_4", "1", "2", "2"),
-                                      ("disc", "U_2_4", "1", "2", "9")])
+                                      ("disc", "U_2_4", "1", "2", "9"),
+                                      ("minor", "U_1_1", "con", "1"),
+                                      ("minor", "U_1_1", "del", "1")])
     def test_bad_element_is_a_usage_error(self, capsys, argv):
-        # these once exited 4, the computation-error code
+        # these once exited 4, the computation-error code; `minor U_1_1 con
+        # 1` once exited 0 with a ground set that `bases` refuses
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1

@@ -25,26 +25,26 @@ class TestConstruction:
         assert M.num_bases() == 70 - 5
 
     def test_single_basis_with_loop(self):
-        M = Matroid.from_bases(3, 2, [(1, 2)])
+        M = Matroid(3, 2, [(1, 2)])
         assert M.loops() == (3,)
         assert M.coloops() == (1, 2)
 
     def test_exchange_violation_with_witness(self):
         with pytest.raises(BasisExchangeError) as info:
-            Matroid.from_bases(4, 2, [(1, 2), (3, 4)])
+            Matroid(4, 2, [(1, 2), (3, 4)])
         assert info.value.witness is not None
 
     def test_empty_family_rejected(self):
         with pytest.raises(BasisExchangeError):
-            Matroid.from_bases(3, 2, [])
+            Matroid(3, 2, [])
 
     def test_wrong_rank_subset_rejected(self):
         with pytest.raises(ValueError):
-            Matroid.from_bases(3, 2, [(1, 2, 3)])
+            Matroid(3, 2, [(1, 2, 3)])
 
     def test_out_of_range_element(self):
         with pytest.raises(ValueError):
-            Matroid.from_bases(3, 2, [(1, 5)])
+            Matroid(3, 2, [(1, 5)])
 
 
 class TestMinorsAndDual:
@@ -67,17 +67,17 @@ class TestMinorsAndDual:
             assert M.dual().dual() == M
 
     def test_delete_coloop_rejected(self):
-        M = Matroid.from_bases(3, 2, [(1, 2), (1, 3)])
+        M = Matroid(3, 2, [(1, 2), (1, 3)])
         with pytest.raises(DegenerateMinorError):
             M.delete(1)
 
     def test_contract_loop_rejected(self):
-        M = Matroid.from_bases(3, 2, [(1, 2)])
+        M = Matroid(3, 2, [(1, 2)])
         with pytest.raises(DegenerateMinorError):
             M.contract(3)
 
     def test_strip_absent(self):
-        M = Matroid.from_bases(4, 2, [(1, 3), (3, 4), (1, 4)])
+        M = Matroid(4, 2, [(1, 3), (3, 4), (1, 4)])
         stripped, mapping = M.strip_absent()
         assert stripped == uniform(2, 3)
         assert mapping == {1: 1, 3: 2, 4: 3}

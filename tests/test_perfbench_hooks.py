@@ -33,15 +33,16 @@ def test_trace_hooks_install_and_uninstall():
     assert Matroid.__dict__["canonical_key"] is original
 
 
-def test_traced_sampler_point_count():
+def test_traced_sampler_point_count(monkeypatch):
     # every pair screens `trials` rows with eval_many and checks each
     # descent end point with eval_one; the descent's own steps are not counted
     tracing, modules = _load()
     sampler = modules["sampler"]
     Z = modules["catalog"].uniform(2, 3).basis_polynomial()
     trials, restarts = 5000, 7
-    config = sampler.SampleConfig(mode=sampler.STRONG_RAYLEIGH, trials=trials,
-                                  restarts=restarts, steps=40)
+    monkeypatch.setattr(sampler, "RESTARTS", restarts)
+    monkeypatch.setattr(sampler, "STEPS", 40)
+    config = sampler.SampleConfig(mode=sampler.STRONG_RAYLEIGH, trials=trials)
     tracer = tracing.Tracer()
     try:
         tracer.install(modules)

@@ -5,12 +5,19 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from hppcheck import sampler
 from hppcheck.catalog import resolve_name, uniform
 from hppcheck.polynomial import Polynomial, parse_polynomial
 from hppcheck.rayleigh import rayleigh_diff_multiaffine
 from hppcheck.sampler import (HPP_EVIDENCE, RAYLEIGH, STABLE_EVIDENCE,
                               STRONG_RAYLEIGH, Counterexample, SampleConfig,
                               _CompiledPoly, _descend, falsify, hpp_evidence)
+
+
+def descent_size(monkeypatch, restarts, steps):
+    """Set the descent's start points and steps per pair."""
+    monkeypatch.setattr(sampler, "RESTARTS", restarts)
+    monkeypatch.setattr(sampler, "STEPS", steps)
 
 
 def P(text, m=None):
@@ -115,32 +122,32 @@ class TestConfig:
         {"mode": HPP_EVIDENCE, "box": (1.0, float("nan"))},
         {"box": (5.0, 1.0)},
         {"box": (2.0, 2.0)},
-        {"restarts": -1},
-        {"steps": -1},
     ], ids=["nan_lo", "inf_hi", "rayleigh_inf", "hpp_nan_hi", "lo_above_hi",
-            "empty_box", "negative_restarts", "negative_steps"])
+            "empty_box"])
     def test_rejects_bad_arguments(self, kwargs):
         with pytest.raises(ValueError):
             SampleConfig(**kwargs)
 
-    def test_zero_restarts_and_steps_allowed(self):
+    def test_zero_restarts_and_steps_allowed(self, monkeypatch):
         Z = uniform(2, 3).basis_polynomial()
         for restarts, steps in ((0, 10), (3, 0)):
-            config = SampleConfig(trials=200, restarts=restarts, steps=steps)
-            assert falsify(Z, config) is None
+            descent_size(monkeypatch, restarts, steps)
+            assert falsify(Z, SampleConfig(trials=200)) is None
 
 
 class TestFalsify:
-    def test_u24_has_no_counterexample(self):
+    def test_u24_has_no_counterexample(self, monkeypatch):
         Z = uniform(2, 4).basis_polynomial()
+        descent_size(monkeypatch, 8, 120)
         config = SampleConfig(mode=STRONG_RAYLEIGH, trials=100_000, seed=1,
-                              descent=True, restarts=8, steps=120)
+                              descent=True)
         assert falsify(Z, config) is None
 
-    def test_np_is_refuted_exactly(self):
+    def test_np_is_refuted_exactly(self, monkeypatch):
         Z = resolve_name("nP").basis_polynomial()
+        descent_size(monkeypatch, 10, 100)
         config = SampleConfig(mode=STRONG_RAYLEIGH, trials=20_000, seed=0,
-                              descent=True, restarts=10, steps=100)
+                              descent=True)
         counter = falsify(Z, config)
         assert counter is not None
         delta = rayleigh_diff_multiaffine(Z, *counter.pair)
@@ -301,13 +308,13 @@ class TestEvidence:
 
 
 class TestNoFalseRefutations:
-    def test_counterexamples_replay_exactly(self):
+    def test_counterexamples_replay_exactly(self, monkeypatch):
         # every emitted counterexample re-verifies in rational arithmetic
         Z = resolve_name("nP").basis_polynomial()
+        descent_size(monkeypatch, 5, 80)
         for seed in (0, 1, 2):
             config = SampleConfig(mode=STRONG_RAYLEIGH, trials=8_000,
-                                  seed=seed, descent=True, restarts=5,
-                                  steps=80)
+                                  seed=seed, descent=True)
             counter = falsify(Z, config)
             if counter is None:
                 continue
