@@ -208,7 +208,6 @@ class CertificateStore:
 
     by_key: dict[tuple[str, tuple[int, int]], SosCertificate] = field(
         default_factory=dict)
-    source: str | None = None
 
     def lookup(self, matroid_name: str, pair: tuple[int, int]) -> SosCertificate | None:
         return self.by_key.get((matroid_name, tuple(sorted(pair))))
@@ -223,7 +222,7 @@ class CertificateStore:
 def load_store(directory: str | os.PathLike) -> CertificateStore:
     """Load every *.cert file in a directory (sorted order); the
     directory must exist."""
-    store = CertificateStore(source=str(directory))
+    store = CertificateStore()
     root = Path(directory)
     if not root.is_dir():
         raise FileNotFoundError(f"no certificate directory {directory}")

@@ -388,7 +388,8 @@ def replay_report(report: CheckReport, M: Matroid,
     report replays against M*.  A REFUTED `dual` node rests on the closure
     of the half-plane property under duality, as `minor_refuted` rests on
     its closure under minors; its chain still ends in an exact negative
-    point, of M*'s difference.
+    point, of M*'s difference.  A node whose fields are missing, of the
+    wrong type or out of range replays as False.
 
     The checker shares one subtree among all minors of an isomorphism
     class, so a node can appear many times in a tree.  Each node is
@@ -399,6 +400,14 @@ def replay_report(report: CheckReport, M: Matroid,
     return _replay(report, M, store, {})
 
 
+# what reading a node raises when a field it needs is missing, of the
+# wrong type or out of range: such a node is not evidence, so it replays
+# False.  GroundSetMismatchError and Matroid.relabeled's error for a
+# non-permutation are ValueErrors.
+_MALFORMED = (AttributeError, KeyError, TypeError, ValueError,
+              ZeroDivisionError)
+
+
 def _replay(report: CheckReport, M: Matroid, store: CertificateStore,
             memo: dict) -> bool:
     key = (id(report), M)
@@ -407,7 +416,10 @@ def _replay(report: CheckReport, M: Matroid, store: CertificateStore,
     # the entry holds the node, so its id is not reused during the call;
     # it reads False until the node is checked, so a cycle back here fails
     memo[key] = (report, False)
-    result = _replay_node(report, M, store, memo)
+    try:
+        result = _replay_node(report, M, store, memo)
+    except _MALFORMED:
+        result = False
     memo[key] = (report, result)
     return result
 
@@ -429,10 +441,7 @@ def _replay_node(report: CheckReport, M: Matroid, store: CertificateStore,
         elif kind == "reduction":
             target = _reduce(M)
         else:
-            try:
-                target = M.relabeled(tuple(just["perm"]))
-            except ValueError:
-                return False
+            target = M.relabeled(tuple(just["perm"]))
         return _replay(inner, target, store, memo)
 
     if kind == "base_fact":
@@ -455,10 +464,7 @@ def _replay_node(report: CheckReport, M: Matroid, store: CertificateStore,
             ent = _cited_entry(just, M)
             if ent is None:
                 return False
-            try:
-                pair = _entry_pair_in_m(ent, just["perm"], pair)
-            except KeyError:
-                return False
+            pair = _entry_pair_in_m(ent, just["perm"], pair)
         if (report.verdict != PROVED
                 or not _replay_children(report, M, store, memo, pair)):
             return False
@@ -501,23 +507,13 @@ def _reduce(M: Matroid) -> Matroid:
     return reduced
 
 
-def _perm_maps(M: Matroid, perm: tuple[int, ...], target: Matroid) -> bool:
-    if len(perm) != M.m or target.m != M.m:
-        return False
-    try:
-        return M.relabeled(perm) == target
-    except ValueError:
-        return False
-
-
 def _cited_entry(just: dict[str, Any], M: Matroid) -> CatalogEntry | None:
     """The catalog entry a `known_hpp` or `certificate` node cites, when
-    the entry exists and the node's `perm` maps M onto the entry's core."""
-    try:
-        ent = entry(just["catalog"])
-    except KeyError:
-        return None
-    return ent if _perm_maps(M, tuple(just["perm"]), ent.core) else None
+    the node's `perm` maps M onto the entry's core.  An unknown entry
+    raises KeyError, and a `perm` that does not permute M's ground set
+    raises ValueError."""
+    ent = entry(just["catalog"])
+    return ent if M.relabeled(tuple(just["perm"])) == ent.core else None
 
 
 def _entry_certificate_verifies(store: CertificateStore, ename: str,

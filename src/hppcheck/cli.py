@@ -161,6 +161,8 @@ def _cmd_rdiff(args) -> int:
 
 def _cmd_disc(args) -> int:
     Z = _load_polynomial(args.source)
+    if not Z.is_multiaffine():
+        raise UsageError("disc requires a multiaffine polynomial")
     _check_elements(Z.m, args.e, args.f, args.g)
     print(format_polynomial(discriminant(Z, args.e, args.f, args.g)))
     return EXIT_OK
@@ -245,6 +247,9 @@ def _cmd_sample(args) -> int:
             "strong-rayleigh": sampler_mod.STRONG_RAYLEIGH,
             "hpp": sampler_mod.HPP_EVIDENCE,
             "stable": sampler_mod.STABLE_EVIDENCE}[args.mode]
+    pairwise = mode in (sampler_mod.RAYLEIGH, sampler_mod.STRONG_RAYLEIGH)
+    if pairwise and not Z.is_multiaffine():
+        raise UsageError(f"--mode {args.mode} requires a multiaffine polynomial")
     box = tuple(args.box) if args.box else None
     try:
         config = sampler_mod.SampleConfig(mode=mode, trials=args.trials,
@@ -254,7 +259,7 @@ def _cmd_sample(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(f"seed: {args.seed}")
-    if mode in (sampler_mod.RAYLEIGH, sampler_mod.STRONG_RAYLEIGH):
+    if pairwise:
         counter = sampler_mod.falsify(Z, config)
         if counter is None:
             print("no counterexample found")

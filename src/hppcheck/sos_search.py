@@ -7,16 +7,19 @@ rotations, warm-started, written here, not a library call) to the first
 iterate within TOLERANCE of the cone, then rationalize on a face.
 
 There is one rationalization path, `rationalize_and_verify`: restrict the
-float Gram matrix to a face {B^T H B} of the PSD cone, round H, project
-it exactly and orthogonally onto the coefficient constraints (Peyrl &
-Parrilo 2008), test positive semidefiniteness with an exact LDL^T
-factorization under symmetric pivoting, and read certificate terms off
-the factors.  `search_certificate` tries three faces in a fixed order,
-each built only when the one before it fails: the whole space, the
-kernel given by integer zeros of the target, and the kernel spanned by
-the float iterate's near-null eigenvectors.  Exact verification decides
-every candidate (Permenter & Parrilo, partial facial reduction), so the
-float stage cannot leak into a proof.
+float Gram matrix to a face {B^T H B} of the PSD cone, round H once (to
+denominators at most DENOMINATOR_BOUND), project it exactly and
+orthogonally onto the coefficient constraints (Peyrl & Parrilo 2008),
+test positive semidefiniteness with an exact LDL^T factorization under
+symmetric pivoting, and read certificate terms off the factors.  One
+rounding gives up a face whose interior margin is below its 2^-16 error
+but above a finer rounding's; no search so far has met such a face.
+`search_certificate` tries three faces in a fixed order, each built only
+when the one before it fails: the whole space, the kernel given by
+integer zeros of the target, and the kernel spanned by the float
+iterate's near-null eigenvectors.  Exact verification decides every
+candidate (Permenter & Parrilo, partial facial reduction), so the float
+stage cannot leak into a proof.
 
 Failure at any stage returns None; failure to find a certificate says
 nothing about nonexistence.
@@ -29,15 +32,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Callable, Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from hppcheck.certificate import SosCertificate, verify
 from hppcheck.polynomial import Exponents, Polynomial
 
-# the denominator bounds a face's rounded Gram matrix is tried at, in turn
-DENOMINATOR_BOUNDS = tuple(1 << k for k in range(16, 33, 2))
+# the denominator bound a face's Gram matrix is rounded to, once
+DENOMINATOR_BOUND = 1 << 16
 # the search stops at the first iterate whose minimum eigenvalue is above
 # -TOLERANCE, or after MAX_ITERATIONS; eigenvalues below 2 * TOLERANCE
 # are near-null
@@ -460,16 +463,15 @@ def _nullspace(rows: list[list[Fraction]], n: int) -> list[list[Fraction]]:
     return _free_basis(*_rref(rows), n)
 
 
-def _affine_projection(C: list[list[Fraction]], b: list[Fraction]
-                       ) -> Callable[[list[Fraction]], list[Fraction]] | None:
-    """The exact Euclidean projection onto {x : C x = b}, as a function of
-    the point x0; None when the system is inconsistent.
+def _affine_projection(C: list[list[Fraction]], b: list[Fraction],
+                       x0: list[Fraction]) -> list[Fraction] | None:
+    """The exact Euclidean projection of x0 onto {x : C x = b}; None when
+    the system is inconsistent.
 
-    Everything that does not depend on x0 is computed here, once, from
-    one RREF of [C | b]: a particular solution xp (the free variables
-    zero), a basis N of the nullspace of C, scaled to integer columns,
-    and the inverse of N^T N.  Projecting x0 is then
-    xp + N (N^T N)^{-1} N^T (x0 - xp).
+    One RREF of [C | b] gives a particular solution xp (the free variables
+    zero) and a basis N of the nullspace of C, scaled to integer columns.
+    The projection is xp + N z, where z solves (N^T N) z = N^T (x0 - xp),
+    by one more RREF.
     """
     ncols = len(C[0])
     red, pivots = _rref([row + [rhs] for row, rhs in zip(C, b)])
@@ -483,40 +485,32 @@ def _affine_projection(C: list[list[Fraction]], b: list[Fraction]
     for vec in _free_basis(red, pivots, ncols):
         scale = lcm(*(x.denominator for x in vec))
         N.append([int(x * scale) for x in vec])
-    d = len(N)
-    if d == 0:
-        return lambda x0: list(xp)
+    if not N:
+        return xp
     support = [[(t, x) for t, x in enumerate(vec) if x] for vec in N]
-    gram = [[sum(x * N[j][t] for t, x in support[i]) for j in range(d)]
-            for i in range(d)]
-    inv, _ = _rref([gram[i] + [int(i == j) for j in range(d)] for i in range(d)])
-    inv = [[(j, a) for j, a in enumerate(row[d:]) if a] for row in inv]
-
-    def project(x0: list[Fraction]) -> list[Fraction]:
-        u = [sum(x * (x0[t] - xp[t]) for t, x in nz) for nz in support]
-        out = list(xp)
-        for row, nz in zip(inv, support):
-            z = sum(a * u[j] for j, a in row)
-            for t, x in nz:
-                out[t] += z * x
-        return out
-
-    return project
+    normal = [[sum(x * col[t] for t, x in nz) for col in N]
+              + [sum(x * (x0[t] - xp[t]) for t, x in nz)]
+              for nz in support]
+    # N^T N is positive definite, so the RREF is [I | z]
+    solved, _ = _rref(normal)
+    out = list(xp)
+    for row, nz in zip(solved, support):
+        for t, x in nz:
+            out[t] += row[-1] * x
+    return out
 
 
 def rationalize_and_verify(G: np.ndarray, problem: GramProblem,
-                           kernel: list[list[Fraction]],
-                           bounds: Iterable[int]) -> SosCertificate | None:
+                           kernel: list[list[Fraction]]) -> SosCertificate | None:
     """Exact rationalization of G on the face of Gram matrices that vanish
-    on the kernel; returns the first certificate that verifies, or None.
+    on the kernel; returns the certificate if it verifies, else None.
 
     Writes G = B^T H B with the rows of B a rational basis of the kernel's
     orthogonal complement (the whole space for an empty kernel).  The
-    least-squares H is rounded at each denominator bound in turn,
-    projected exactly onto the coefficient constraints (consistent by
-    construction), factored by `ldlt_psd`, and its certificate terms read
-    off the factors.  Only the rounding depends on the bound, so
-    everything else is built once.
+    least-squares H is rounded once, to denominators at most
+    DENOMINATOR_BOUND, projected exactly onto the coefficient constraints
+    (consistent by construction), factored by `ldlt_psd`, and its
+    certificate terms read off the factors.
     """
     n = problem.size
     B = _nullspace(kernel, n)        # rows: the face basis
@@ -548,37 +542,34 @@ def rationalize_and_verify(G: np.ndarray, problem: GramProblem,
                     row[unknown[min(p, q), max(p, q)]] += x * y
         C.append(row)
         b.append(rhs)
-    project = _affine_projection(C, b)
-    if project is None:
+    x0 = [Fraction(float(Hf[p, q])).limit_denominator(DENOMINATOR_BOUND)
+          for p, q in idx]
+    sol = _affine_projection(C, b, x0)
+    if sol is None:
         return None
+    H = [[Fraction(0)] * r for _ in range(r)]
+    for t, (p, q) in enumerate(idx):
+        H[p][q] = sol[t]
+        H[q][p] = sol[t]
+    fact = ldlt_psd(H)
+    if fact is None:
+        return None
+    perm, L, D = fact
     # each row of B as a polynomial: its weights on the basis monomials
     w_polys = [Polynomial(problem.target.m,
                           {e: x for e, x in zip(problem.basis, row) if x})
                for row in B]
-    for bound in bounds:
-        x0 = [Fraction(float(Hf[p, q])).limit_denominator(bound) for p, q in idx]
-        sol = project(x0)
-        H = [[Fraction(0)] * r for _ in range(r)]
-        for t, (p, q) in enumerate(idx):
-            H[p][q] = sol[t]
-            H[q][p] = sol[t]
-        fact = ldlt_psd(H)
-        if fact is None:
+    terms = []
+    for k in range(r):
+        if D[k] == 0:
             continue
-        perm, L, D = fact
-        terms = []
-        for k in range(r):
-            if D[k] == 0:
-                continue
-            q = Polynomial.zero(problem.target.m)
-            for a in range(r):
-                if L[a][k] != 0:
-                    q = q + w_polys[perm[a]].scalar_mul(L[a][k])
-            terms.append((D[k], q))
-        cert = SosCertificate(terms=tuple(terms), target=problem.target)
-        if verify(cert, problem.target):
-            return cert
-    return None
+        q = Polynomial.zero(problem.target.m)
+        for a in range(r):
+            if L[a][k] != 0:
+                q = q + w_polys[perm[a]].scalar_mul(L[a][k])
+        terms.append((D[k], q))
+    cert = SosCertificate(terms=tuple(terms), target=problem.target)
+    return cert if verify(cert, problem.target) else None
 
 
 def _face_kernels(problem: GramProblem, vals: np.ndarray, Q: np.ndarray
@@ -608,7 +599,7 @@ def search_certificate(target: Polynomial,
       1. the whole space (empty kernel);
       2. the kernel of the target's integer zeros;
       3. the kernel of the iterate's near-null eigenvectors.
-    Each face tries the denominator bounds of `DENOMINATOR_BOUNDS`.
+    Each face is rounded once, at `DENOMINATOR_BOUND`.
     """
     try:
         problem = build_problem(target)
@@ -619,7 +610,7 @@ def search_certificate(target: Polynomial,
         return None
     G, vals, Q = found
     for kernel in _face_kernels(problem, vals, Q):
-        cert = rationalize_and_verify(G, problem, kernel, DENOMINATOR_BOUNDS)
+        cert = rationalize_and_verify(G, problem, kernel)
         if cert is not None:
             return cert
     return None

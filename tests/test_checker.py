@@ -787,6 +787,32 @@ class TestReplaySoundness:
         assert replay_report(forged, M, store) is False
         assert reference_replay(forged, M, store) is False
 
+    # each forgery once made replay raise, in order: KeyError, TypeError,
+    # KeyError, KeyError, ValueError, GroundSetMismatchError, TypeError
+    # and AttributeError
+    @pytest.mark.parametrize("name,forge", [
+        ("F7m5", lambda just, children: just.pop("perm")),
+        ("F7m5", lambda just, children: just.update(catalog=["F7m5"])),
+        ("U_2_4", lambda just, children: just.pop("fact")),
+        ("F7m4", lambda just, children: just.pop("pair")),
+        ("F7", lambda just, children: just.update(point=["x"] * 7)),
+        ("F7", lambda just, children: just.update(point=just["point"][:3])),
+        ("F7m4", lambda just, children: children[0].update(element="1")),
+        ("F7m4", lambda just, children: children[0].update(
+            report=children[0]["report"].to_dict())),
+    ], ids=["known_hpp_without_perm", "catalog_list", "base_fact_without_fact",
+            "certificate_without_pair", "point_not_a_number",
+            "point_of_length_3", "element_a_string", "report_a_dict"])
+    def test_malformed_node_replays_false(self, name, forge, store):
+        M = (Matroid.from_nonbases(7, 3, FANO_LINES) if name == "F7"
+             else resolve_name(name))
+        rep = StrongRayleighChecker(store, CheckOptions(refute=True)).check(M)
+        assert replay_report(rep, M, store)
+        just, children = dict(rep.justification), [dict(c) for c in rep.children]
+        forge(just, children)
+        forged = dataclasses.replace(rep, justification=just, children=children)
+        assert replay_report(forged, M, store) is False
+
     def test_childless_sos_search_node(self, store):
         # F7 + U_1_2: Delta_89 = Z_F7^2, so one square certifies the pair,
         # yet M/8 is F7 with a loop, which lacks the half-plane property

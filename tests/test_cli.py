@@ -260,6 +260,20 @@ class TestUsageAndHelp:
         assert code == 3 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [("disc", "1", "2", "3"),
+                                      ("sample", "--mode", "strong-rayleigh"),
+                                      ("sample", "--mode", "rayleigh")])
+    def test_non_multiaffine_polynomial_is_a_usage_error(self, capsys, tmp_path,
+                                                          argv):
+        # these once exited 4; `sample` printed its seed first
+        path = tmp_path / "square.poly"
+        path.write_text("y1*y1*y2 + y3\n")
+        command, *rest = argv
+        code, out, err = run(capsys, command, str(path), *rest)
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and "multiaffine" in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("argv", [("check-hpp", "U_13_26"),
                                       ("bases", "U_10_20"),
                                       ("bases", "U_1001_1001"),

@@ -13,8 +13,8 @@ from hppcheck.catalog import entry, resolve_name, uniform
 from hppcheck.certificate import verify
 from hppcheck.polynomial import Polynomial, parse_polynomial
 from hppcheck.rayleigh import rayleigh_diff_multiaffine
-from hppcheck.sos_search import (DENOMINATOR_BOUNDS, GramProblemError,
-                                 _affine_projection, _integer_zero_kernel,
+from hppcheck.sos_search import (GramProblemError, _affine_projection,
+                                 _integer_zero_kernel,
                                  _nullspace, _project_affine,
                                  _round_robin, _rref,
                                  build_problem, jacobi_eigh, ldlt_psd,
@@ -383,7 +383,7 @@ class TestLdlt:
                 continue     # a zero row drops its variable from the basis
             prob = build_problem(target)
             Gf = np.array([[float(x) for x in row] for row in G])
-            cert = rationalize_and_verify(Gf, prob, [], DENOMINATOR_BOUNDS)
+            cert = rationalize_and_verify(Gf, prob, [])
             assert cert is not None
             assert verify(cert, target).passed
             assert cert.expand(m) == target
@@ -428,10 +428,10 @@ class TestExactLinearAlgebra:
         assert _exact(basis[0])
 
     def test_affine_projection_integer_input_stays_exact(self):
-        x = _affine_projection([[2, 0]], [1])([0, 0])
+        x = _affine_projection([[2, 0]], [1], [0, 0])
         assert x == [Fraction(1, 2), 0]
         assert _exact(x)
-        assert _affine_projection([[1, 1], [2, 2]], [1, 3]) is None
+        assert _affine_projection([[1, 1], [2, 2]], [1, 3], [0, 0]) is None
 
     def test_ldlt_integer_input_stays_exact(self):
         perm, L, D = ldlt_psd([[2, 1], [1, 2]])
@@ -448,11 +448,10 @@ class TestExactLinearAlgebra:
                 C.append([x + y for x, y in zip(C[0], C[-1])])  # dependent row
             x1 = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(ncols)]
             b = [sum(c * x for c, x in zip(row, x1)) for row in C]
-            project = _affine_projection(C, b)
             for _ in range(3):
                 x0 = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
                       for _ in range(ncols)]
-                x = project(x0)
+                x = _affine_projection(C, b, x0)
                 assert x == _projection_by_normal_equations(C, b, x0)
                 assert all(sum(c * v for c, v in zip(row, x)) == rhs
                            for row, rhs in zip(C, b))
@@ -463,7 +462,7 @@ class TestRationalize:
     def test_u24_by_hand(self):
         prob = build_problem(P("y3*y3 + y3*y4 + y4*y4", 4))
         G = np.array([[1.0, 0.5], [0.5, 1.0]])
-        cert = rationalize_and_verify(G, prob, [], DENOMINATOR_BOUNDS)
+        cert = rationalize_and_verify(G, prob, [])
         assert cert is not None
         assert cert.terms == (
             (Fraction(1), P("y3 + 1/2*y4", 4)),
@@ -472,7 +471,7 @@ class TestRationalize:
 
     def test_rank_one_exact(self):
         prob = build_problem(P("y3*y3", 3))
-        cert = rationalize_and_verify(np.array([[1.0]]), prob, [], [16])
+        cert = rationalize_and_verify(np.array([[1.0]]), prob, [])
         assert cert is not None
         assert cert.terms == ((Fraction(1), P("y3", 3)),)
 
@@ -480,17 +479,17 @@ class TestRationalize:
         # an affine-feasible but indefinite Gram matrix must be rejected
         prob = build_problem(P("y3*y3 + 4*y3*y4 + y4*y4", 4))
         G = np.array([[1.0, 2.0], [2.0, 1.0]])
-        assert rationalize_and_verify(G, prob, [], [16]) is None
+        assert rationalize_and_verify(G, prob, []) is None
 
     def test_kernel_face(self):
         # (y3 + y4)^2 has the kernel (1, -1); on its face H is 1 x 1
         prob = build_problem(P("y3*y3 + 2*y3*y4 + y4*y4", 4))
         G = np.array([[1.01, 0.98], [0.98, 1.02]])
-        cert = rationalize_and_verify(G, prob, [[1, -1]], [16])
+        cert = rationalize_and_verify(G, prob, [[1, -1]])
         assert cert is not None
         assert cert.terms == ((Fraction(1), P("y3 + y4", 4)),)
         # a kernel that spans everything leaves no face
-        assert rationalize_and_verify(G, prob, [[1, 0], [0, 1]], [16]) is None
+        assert rationalize_and_verify(G, prob, [[1, 0], [0, 1]]) is None
 
 
 class TestEndToEnd:
