@@ -62,7 +62,7 @@ _LOOP_NOTE = ("variables absent from the polynomial (loops) are treated as "
 class CheckOptions:
     search: bool = False
     refute: bool = False
-    seed: int = 0
+    seed: int = 0           # seeds the refute-mode sampler; the search has none
 
 
 @dataclass
@@ -208,7 +208,7 @@ class StrongRayleighChecker:
         if just is not None or not self.options.search:
             return just
         target = rayleigh_diff_multiaffine(M.basis_polynomial(), e, f)
-        cert = sos_mod.search_certificate(target, seed=self.options.seed)
+        cert = sos_mod.search_certificate(target)
         if cert is None or not verify(cert, target):
             return None
         return {"kind": "sos_search", "pair": [e, f],

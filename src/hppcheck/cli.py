@@ -200,7 +200,7 @@ def _cmd_check_hpp(args) -> int:
     store = _store_from(args)
     options = CheckOptions(search=args.search, refute=args.refute,
                            seed=args.seed)
-    if args.refute or args.search:
+    if args.refute:
         print(f"seed: {args.seed}")
     checker = StrongRayleighChecker(store, options)
     report = checker.check(M, name=args.name)
@@ -222,13 +222,17 @@ def _cmd_check_hpp(args) -> int:
 
 def _cmd_sos_search(args) -> int:
     target = _load_polynomial(args.polyfile)
-    print(f"seed: {args.seed}")
+    # unsuitable input, not a proof that no Gram matrix exists (FAIL)
+    if (not target.is_homogeneous() or target.total_degree() % 2
+            or any(e > 2 for exps in target.terms for e in exps)):
+        raise UsageError("sos-search requires a homogeneous target of even "
+                         "degree with no variable above degree 2")
     try:
         build_problem(target)
     except GramProblemError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    cert = search_certificate(target, seed=args.seed)
+    cert = search_certificate(target)
     if cert is None:
         print("no certificate found (this does not prove nonexistence)")
         return EXIT_INCONCLUSIVE
@@ -344,7 +348,8 @@ def build_parser() -> _Parser:
                    help="try SOS search when no certificate applies")
     p.add_argument("--refute", action="store_true",
                    help="hunt for exact rational counterexamples")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the --refute sampler")
     p.add_argument("--format", choices=("text", "structured"), default="text")
     p.add_argument("--out", help="write the report to a file")
     p.set_defaults(func=_cmd_check_hpp)
@@ -353,7 +358,6 @@ def build_parser() -> _Parser:
                                           "certificate (exactly re-verified)",
                        epilog=_EPILOG)
     p.add_argument("polyfile", help="catalog name or polynomial file")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the certificate file here")
     p.set_defaults(func=_cmd_sos_search)
 

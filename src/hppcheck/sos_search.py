@@ -4,7 +4,8 @@ Pipeline: build a Gram-matrix problem over a multiaffine monomial basis,
 run one pass of alternating projections between the coefficient-matching
 affine subspace and the PSD cone (round-robin (Brent–Luk) Jacobi
 rotations, warm-started, written here, not a library call) to the first
-iterate within TOLERANCE of the cone, then rationalize on a face.
+iterate within TOLERANCE of the cone, then rationalize on a face.  The
+pass gives up at a stall; no step is random, so runs are reproducible.
 
 There is one rationalization path, `rationalize_and_verify`: restrict the
 float Gram matrix to a face {B^T H B} of the PSD cone, round H once (to
@@ -42,10 +43,12 @@ from hppcheck.polynomial import Exponents, Polynomial
 # the denominator bound a face's Gram matrix is rounded to, once
 DENOMINATOR_BOUND = 1 << 16
 # the search stops at the first iterate whose minimum eigenvalue is above
-# -TOLERANCE, or after MAX_ITERATIONS; eigenvalues below 2 * TOLERANCE
-# are near-null
+# -TOLERANCE, and gives up after STALL_ITERATIONS iterations in a row
+# that do not raise the best one by 1e-14, or after MAX_ITERATIONS;
+# eigenvalues below 2 * TOLERANCE are near-null
 TOLERANCE = 5e-4
 MAX_ITERATIONS = 50_000
+STALL_ITERATIONS = 200
 JACOBI_TOLERANCE = 1e-13       # relative off-diagonal norm at convergence
 JACOBI_MAX_SWEEPS = 100
 ZERO_BOX = 2                   # zeros are sought in [-ZERO_BOX, ZERO_BOX]
@@ -236,18 +239,16 @@ def _project_affine(G: np.ndarray, problem: GramProblem) -> np.ndarray:
     return out
 
 
-def search(problem: GramProblem, seed: int = 0
-           ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def search(problem: GramProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Alternating projections onto {A(G) = coeffs} and the PSD cone.
 
     Returns the first affine-feasible iterate G whose minimum eigenvalue
-    exceeds -TOLERANCE, with its eigendecomposition (vals, Q), or None.
-    Start point and stall jitter are seeded, so runs are reproducible.
-    Each decomposition is warm-started from the previous iterate's
-    eigenbasis (the identity on the first iteration and after a jitter).
+    exceeds -TOLERANCE, with its eigendecomposition (vals, Q), or None at
+    a stall or after MAX_ITERATIONS.  No step is random.  Each
+    decomposition is warm-started from the previous iterate's eigenbasis
+    (the identity on the first iteration).
     """
     n = problem.size
-    rng = np.random.default_rng([seed, n])
     G = _project_affine(np.zeros((n, n)), problem)
     best_eig = -np.inf
     stall = 0
@@ -267,14 +268,8 @@ def search(problem: GramProblem, seed: int = 0
             stall = 0
         else:
             stall += 1
-            if stall >= 200:
-                jitter = rng.normal(scale=max(-min_eig, 1e-6), size=(n, n))
-                jitter = (jitter + jitter.T) / 2.0
-                G = _project_affine(G + jitter, problem)
-                best_eig = -np.inf
-                stall = 0
-                Q = np.eye(n)
-                continue
+            if stall >= STALL_ITERATIONS:
+                return None
         P = (Q * np.maximum(vals, 0.0)) @ Q.T        # the PSD projection
         G = _project_affine((P + P.T) / 2.0, problem)
     return None
@@ -587,14 +582,13 @@ def _face_kernels(problem: GramProblem, vals: np.ndarray, Q: np.ndarray
         yield kernel
 
 
-def search_certificate(target: Polynomial,
-                       seed: int = 0) -> SosCertificate | None:
+def search_certificate(target: Polynomial) -> SosCertificate | None:
     """End-to-end search; returns an exactly verified certificate or None.
 
     Makes one float pass, `search`, on the problem of `build_problem`: it
     stops at the first iterate within TOLERANCE of the PSD cone, since the
-    exact face projection only needs a rough starting point.  The iterate
-    is then rationalized by `rationalize_and_verify` on three faces in a
+    exact face projection only needs a rough starting point.  The iterate,
+    if any, is rationalized by `rationalize_and_verify` on three faces in a
     fixed order, each built only when the one before it fails:
       1. the whole space (empty kernel);
       2. the kernel of the target's integer zeros;
@@ -605,7 +599,7 @@ def search_certificate(target: Polynomial,
         problem = build_problem(target)
     except GramProblemError:
         return None
-    found = search(problem, seed=seed)
+    found = search(problem)
     if found is None:
         return None
     G, vals, Q = found

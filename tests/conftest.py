@@ -4,12 +4,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
+from hppcheck import sos_search
 from hppcheck.polynomial import Polynomial
 
 # property tests draw the same examples on every run and never time out
 settings.register_profile("hppcheck", derandomize=True, deadline=None,
                           database=None)
 settings.load_profile("hppcheck")
+
+# the Fano plane F7: its seven lines are its rank-3 non-bases
+FANO_LINES = ((1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7),
+              (3, 4, 7), (3, 5, 6))
 
 
 def random_multiaffine(rng: random.Random, m: int, density: float = 0.4) -> Polynomial:
@@ -22,6 +27,19 @@ def random_multiaffine(rng: random.Random, m: int, density: float = 0.4) -> Poly
                 exps = tuple((mask >> i) & 1 for i in range(m))
                 terms[exps] = Fraction(c)
     return Polynomial(m, terms)
+
+
+def count_jacobi(monkeypatch):
+    """Count `jacobi_eigh` calls (one per search iteration) from now on."""
+    calls = [0]
+    eigh = sos_search.jacobi_eigh
+
+    def counted(A):
+        calls[0] += 1
+        return eigh(A)
+
+    monkeypatch.setattr(sos_search, "jacobi_eigh", counted)
+    return calls
 
 
 def compress_out(p: Polynomial, e: int) -> Polynomial:

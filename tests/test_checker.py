@@ -20,9 +20,9 @@ from hppcheck.matroid import Matroid
 from hppcheck.polynomial import format_polynomial, parse_polynomial
 from hppcheck.rayleigh import rayleigh_diff_multiaffine
 
+from conftest import FANO_LINES
+
 SEVEN = ("F7m4", "W3p", "W3pe", "P7p", "nP_d1", "nP_d9", "V8")
-FANO_LINES = ((1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7),
-              (3, 4, 7), (3, 5, 6))
 
 
 @pytest.fixture(scope="module")

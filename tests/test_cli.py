@@ -4,10 +4,12 @@ from itertools import combinations
 import pytest
 
 from hppcheck.certificate import shipped_store_dir
-from hppcheck import cli
+from hppcheck import cli, sos_search
 from hppcheck.cli import build_parser, main
-from hppcheck.matroid import matroid_from_text
+from hppcheck.matroid import Matroid, matroid_from_text, matroid_to_text
 from hppcheck.polynomial import parse_polynomial
+
+from conftest import FANO_LINES, count_jacobi
 
 
 def run(capsys, *argv):
@@ -168,6 +170,21 @@ class TestCheckHpp:
                            str(tmp_path))
         assert code == 2
 
+    @pytest.mark.parametrize("refute", [False, True], ids=["plain", "refute"])
+    def test_f7_search_gives_up_at_stalls(self, capsys, tmp_path, monkeypatch,
+                                          refute):
+        # F7 lacks the half-plane property, so no pair has a certificate;
+        # each of its 21 pair searches gives up at its stall
+        calls = count_jacobi(monkeypatch)
+        path = tmp_path / "F7.json"
+        path.write_text(matroid_to_text(Matroid.from_nonbases(7, 3,
+                                                               FANO_LINES)))
+        code, out, _ = run(capsys, "check-hpp", str(path), "--search",
+                           *(["--refute"] if refute else []))
+        assert code == (1 if refute else 2)
+        assert ("seed: 0" in out) == refute
+        assert calls[0] <= 21 * (sos_search.STALL_ITERATIONS + 1)
+
 
 class TestSampleAndSearch:
     def test_sample_prints_seed(self, capsys):
@@ -199,7 +216,8 @@ class TestSampleAndSearch:
         code, out, _ = run(capsys, "sos-search", str(poly), "--out",
                            str(out_file))
         assert code == 0
-        assert "seed: 0" in out
+        # the search draws no random numbers, so there is no seed to print
+        assert "seed:" not in out
         payload = json.loads(out_file.read_text())
         assert payload["terms"]
 
@@ -209,6 +227,20 @@ class TestSampleAndSearch:
         code, _, err = run(capsys, "sos-search", str(poly))
         assert code == 1
         assert "infeasible" in err
+
+    @pytest.mark.parametrize("text", ["y1*y1*y2 + y3", "y1*y2*y3",
+                                      "y1*y1*y1*y1"],
+                             ids=["inhomogeneous", "odd_degree",
+                                  "variable_degree_4"])
+    def test_sos_search_unsuitable_target_is_a_usage_error(self, capsys,
+                                                           tmp_path, text):
+        # these once exited 1, the FAIL code, as if no Gram matrix existed
+        poly = tmp_path / "t.poly"
+        poly.write_text(text)
+        code, out, err = run(capsys, "sos-search", str(poly))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_sos_search_without_squares_is_infeasible(self, capsys, tmp_path):
         # no square of a basis monomial occurs in y3*y4, so the Gram

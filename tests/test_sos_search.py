@@ -10,7 +10,8 @@ import pytest
 
 from hppcheck import sos_search
 from hppcheck.catalog import entry, resolve_name, uniform
-from hppcheck.certificate import verify
+from hppcheck.certificate import certificate_to_text, verify
+from hppcheck.matroid import Matroid
 from hppcheck.polynomial import Polynomial, parse_polynomial
 from hppcheck.rayleigh import rayleigh_diff_multiaffine
 from hppcheck.sos_search import (GramProblemError, _affine_projection,
@@ -20,6 +21,8 @@ from hppcheck.sos_search import (GramProblemError, _affine_projection,
                                  build_problem, jacobi_eigh, ldlt_psd,
                                  rationalize_and_verify, search,
                                  search_certificate)
+
+from conftest import FANO_LINES, count_jacobi
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hppcheck"
 SHIPPED = ["F7m4", "W3p", "W3pe", "P7p", "nP_d1", "nP_d9", "V8"]
@@ -95,7 +98,7 @@ class TestBuildProblem:
 class TestSearch:
     def test_u24_gram_matrix(self):
         prob = build_problem(P("y3*y3 + y3*y4 + y4*y4", 4))
-        G, vals, Q = search(prob, seed=0)
+        G, vals, Q = search(prob)
         want = np.array([[1.0, 0.5], [0.5, 1.0]])
         assert np.allclose(G, want, atol=1e-6)
         # the returned decomposition is the iterate's own
@@ -106,11 +109,19 @@ class TestSearch:
         G, vals, Q = search(prob)
         assert np.allclose(G, [[1.0]]) and np.allclose(vals, [1.0])
 
-    def test_indefinite_target_fails(self, monkeypatch):
+    def test_indefinite_target_fails(self):
         # the only Gram matrix is G = [[1, 2], [2, 1]], which is not PSD
-        monkeypatch.setattr(sos_search, "MAX_ITERATIONS", 300)
         prob = build_problem(P("y3*y3 + 4*y3*y4 + y4*y4", 4))
         assert search(prob) is None
+
+    def test_stall_gives_up(self, monkeypatch):
+        # F7 lacks the half-plane property, so its (1, 2) difference has no
+        # certificate; the search stalls from its first iterate on
+        calls = count_jacobi(monkeypatch)
+        Z = Matroid.from_nonbases(7, 3, FANO_LINES).basis_polynomial()
+        prob = build_problem(rayleigh_diff_multiaffine(Z, 1, 2))
+        assert search(prob) is None
+        assert calls[0] <= sos_search.STALL_ITERATIONS + 1
 
 
 def _project_affine_loop(G, problem):
@@ -229,6 +240,25 @@ def test_no_library_eigensolver():
             if isinstance(node, ast.ImportFrom) and any(
                     alias.name in banned for alias in node.names):
                 found.append(f"{path.name}:{node.lineno}")
+    assert not found
+
+
+def test_search_draws_no_random_numbers():
+    # the search is deterministic: the same target always gets the same
+    # certificate or None, so neither numpy's nor Python's generator is used
+    path = SRC / "sos_search.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if (isinstance(node, ast.Attribute) and node.attr == "random"
+                and getattr(node.value, "id", None) in ("np", "numpy")):
+            found.append(node.lineno)
+        if isinstance(node, ast.Import) and any(
+                "random" in alias.name.split(".") for alias in node.names):
+            found.append(node.lineno)
+        if isinstance(node, ast.ImportFrom) and (
+                "random" in (node.module or "").split(".")
+                or any(alias.name == "random" for alias in node.names)):
+            found.append(node.lineno)
     assert not found
 
 
@@ -522,6 +552,12 @@ class TestEndToEnd:
         assert cert is not None
         assert verify(cert, target).passed
         assert len(attempts) == face and all(attempts[1:])
+
+    def test_same_certificate_every_run(self):
+        target = cert_target("W3p")
+        first, second = search_certificate(target), search_certificate(target)
+        assert first is not None
+        assert certificate_to_text(first) == certificate_to_text(second)
 
     def test_certificate_never_unverified(self):
         # the search returns None rather than an unverifiable certificate
