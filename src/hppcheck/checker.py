@@ -22,7 +22,9 @@ The checker runs that recursion with:
 PROVED / REFUTED / INCONCLUSIVE are first-class verdicts; sampling never
 proves, and the float SOS stage never reaches a verdict without exact
 rational re-verification.  Reports are machine-checkable trees; see
-`replay_report`.
+`replay_report`.  The float layers, `sos_search` and `sampler`, are
+imported by the two methods that use them, so a check without `search`
+or `refute` never loads numpy.
 """
 
 from __future__ import annotations
@@ -32,8 +34,6 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Any
 
-from hppcheck import sampler as sampler_mod
-from hppcheck import sos_search as sos_mod
 from hppcheck.catalog import CatalogEntry, catalog_index, entry
 from hppcheck.certificate import (CertificateStore, SosCertificate,
                                  format_fraction, verify)
@@ -207,6 +207,7 @@ class StrongRayleighChecker:
         just = certified.get((e, f))
         if just is not None or not self.options.search:
             return just
+        from hppcheck import sos_search as sos_mod
         target = rayleigh_diff_multiaffine(M.basis_polynomial(), e, f)
         cert = sos_mod.search_certificate(target)
         if cert is None or not verify(cert, target):
@@ -340,6 +341,7 @@ class StrongRayleighChecker:
     # -- refutation ----------------------------------------------------------
 
     def _falsify(self, M: Matroid) -> dict | None:
+        from hppcheck import sampler as sampler_mod
         config = sampler_mod.SampleConfig(mode=sampler_mod.STRONG_RAYLEIGH,
                                           seed=self.options.seed)
         counter = sampler_mod.falsify(M.basis_polynomial(), config)

@@ -3,9 +3,16 @@
 Subcommands wire the catalog, Rayleigh calculus, certificate store,
 checker, SOS search, and sampler into reproducible runs.  Exit codes:
 0 success/PROVED, 1 REFUTED or verification FAIL, 2 INCONCLUSIVE or
-not found, 3 usage or I/O error, 4 computation error.  `check-hpp`
-replays its report (`replay_report`) before it prints a verdict; a report
-that does not replay is a computation error.
+not found, 3 usage or I/O error, 4 computation error (an unexpected
+exception, too, is one `error: internal error:` line and exit 4).
+`check-hpp` replays its report (`replay_report`) before it prints a
+verdict; a report that does not replay is a computation error.
+
+Only the float layers, `sos_search` and `sampler`, import numpy, and they
+are imported where they are used: `sos-search`, `sample`, and `check-hpp`
+with `--search` or `--refute`.  `catalog`, `bases`, `minor`, `dual`,
+`iso`, `rdiff`, `disc`, `verify-cert`, and `check-hpp` without those
+flags never load numpy.
 """
 
 from __future__ import annotations
@@ -17,7 +24,6 @@ import sys
 from pathlib import Path
 
 from hppcheck import catalog as catalog_mod
-from hppcheck import sampler as sampler_mod
 from hppcheck.certificate import (CertificateParseError, certificate_from_text,
                                   certificate_to_text, load_store,
                                   shipped_store_dir, verify)
@@ -29,7 +35,6 @@ from hppcheck.matroid import (DegenerateMinorError, Matroid,
 from hppcheck.polynomial import (Polynomial, PolynomialParseError,
                                  format_polynomial, parse_polynomial)
 from hppcheck.rayleigh import discriminant, rayleigh_diff
-from hppcheck.sos_search import GramProblemError, build_problem, search_certificate
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -221,12 +226,15 @@ def _cmd_check_hpp(args) -> int:
 
 
 def _cmd_sos_search(args) -> int:
+    from hppcheck.sos_search import (GramProblemError, build_problem,
+                                     search_certificate)
     target = _load_polynomial(args.polyfile)
     # unsuitable input, not a proof that no Gram matrix exists (FAIL)
-    if (not target.is_homogeneous() or target.total_degree() % 2
+    if (target.is_zero() or not target.is_homogeneous()
+            or target.total_degree() % 2
             or any(e > 2 for exps in target.terms for e in exps)):
-        raise UsageError("sos-search requires a homogeneous target of even "
-                         "degree with no variable above degree 2")
+        raise UsageError("sos-search requires a nonzero homogeneous target of "
+                         "even degree with no variable above degree 2")
     try:
         build_problem(target)
     except GramProblemError as exc:
@@ -246,6 +254,7 @@ def _cmd_sos_search(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    from hppcheck import sampler as sampler_mod
     Z = _load_polynomial(args.source)
     mode = {"rayleigh": sampler_mod.RAYLEIGH,
             "strong-rayleigh": sampler_mod.STRONG_RAYLEIGH,
@@ -394,6 +403,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except (DegenerateMinorError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:
+        # a traceback would exit 1, the REFUTED/FAIL code
+        print(f"error: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return EXIT_ERROR
 
 

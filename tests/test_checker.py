@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hppcheck import checker as checker_mod
+from hppcheck import sampler, sos_search
 from hppcheck.catalog import catalog, entry, resolve_name, uniform
 from hppcheck.certificate import (CertificateStore, SosCertificate,
                                   shipped_store, verify)
@@ -286,6 +287,39 @@ class TestVerdictPaths:
             CertificateStore(), CheckOptions(search=True))
         just = checker.check_pair_nonnegativity(uniform(2, 4), (1, 2))
         assert just is not None and just["kind"] == "sos_search"
+
+
+class TestFloatLayersStayPatchable:
+    """The checker imports `sos_search` and `sampler` inside the methods that
+    use them and calls through the module, so a patched function is seen."""
+
+    @staticmethod
+    def _counted(monkeypatch, module, name):
+        calls = [0]
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_search_calls_patched_search_certificate(self, monkeypatch):
+        calls = self._counted(monkeypatch, sos_search, "search_certificate")
+        report = StrongRayleighChecker(
+            CertificateStore(), CheckOptions(search=True)).check(
+                resolve_name("F7m4"))
+        assert report.verdict == PROVED
+        assert calls[0] >= 1
+
+    def test_refute_calls_patched_falsify(self, monkeypatch):
+        calls = self._counted(monkeypatch, sampler, "falsify")
+        report = StrongRayleighChecker(
+            CertificateStore(), CheckOptions(refute=True)).check(
+                Matroid.from_nonbases(7, 3, FANO_LINES))
+        assert report.verdict == REFUTED
+        assert calls[0] >= 1
 
 
 class TestMemoization:

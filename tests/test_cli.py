@@ -1,5 +1,9 @@
+import ast
 import json
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,9 @@ from hppcheck.matroid import Matroid, matroid_from_text, matroid_to_text
 from hppcheck.polynomial import parse_polynomial
 
 from conftest import FANO_LINES, count_jacobi
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+FLOAT_LAYERS = ("sampler", "sos_search")
 
 
 def run(capsys, *argv):
@@ -229,9 +236,9 @@ class TestSampleAndSearch:
         assert "infeasible" in err
 
     @pytest.mark.parametrize("text", ["y1*y1*y2 + y3", "y1*y2*y3",
-                                      "y1*y1*y1*y1"],
+                                      "y1*y1*y1*y1", "0*y1 + 0*y2"],
                              ids=["inhomogeneous", "odd_degree",
-                                  "variable_degree_4"])
+                                  "variable_degree_4", "zero"])
     def test_sos_search_unsuitable_target_is_a_usage_error(self, capsys,
                                                            tmp_path, text):
         # these once exited 1, the FAIL code, as if no Gram matrix existed
@@ -479,3 +486,105 @@ class TestUsageAndHelp:
         assert info.value.code == 0
         out = capsys.readouterr().out
         assert "exit codes" in out
+
+
+def test_unexpected_exception_is_one_line_exit_4(capsys, monkeypatch):
+    # an uncaught traceback would exit 1, the REFUTED/FAIL code
+    def broken(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "rayleigh_diff", broken)
+    code, out, err = run(capsys, "rdiff", "U_2_4", "1", "2")
+    assert code == 4
+    assert out == ""
+    assert err == "error: internal error: RuntimeError: boom\n"
+
+
+# -- the cold path: only the float layers load numpy ----------------------
+
+
+def _import_time_imports(path: Path) -> set[str]:
+    """Dotted names of the modules `path` imports when it is itself imported:
+    every import statement outside a function body."""
+    names = set()
+    todo = list(ast.parse(path.read_text(), str(path)).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["hppcheck" if node.level else "",
+                                            node.module]))
+            names.add(module)
+            names.update(f"{module}.{alias.name}" for alias in node.names)
+        todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_only_float_layers_import_numpy_at_module_level():
+    assert "numpy" in _import_time_imports(SRC / "hppcheck" / "sampler.py")
+    found = []
+    for path in sorted((SRC / "hppcheck").glob("*.py")):
+        if path.stem in FLOAT_LAYERS:
+            continue
+        for name in _import_time_imports(path):
+            parts = name.split(".")
+            if parts[0] == "numpy" or (parts[0] == "hppcheck" and len(parts) > 1
+                                       and parts[1] in FLOAT_LAYERS):
+                found.append(f"{path.name}: {name}")
+    assert not found
+
+
+_NUMPY_BLOCKED = """
+import sys
+sys.modules["numpy"] = None
+sys.path.insert(0, sys.argv[1])
+from hppcheck.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+# the benchmark's set-up body: import the CLI, build the catalog, load the
+# shipped certificate store
+_SETUP = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import hppcheck.cli
+from hppcheck import catalog, certificate
+catalog.catalog()
+certificate.load_store(certificate.shipped_store_dir())
+print(sorted(n for n in sys.modules if n.split(".")[0] == "numpy"))
+"""
+
+
+def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-c", code, str(SRC), *args],
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_setup_loads_no_numpy():
+    done = _python(_SETUP)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["check-hpp", "V8"], 0),
+    (["check-hpp", "nP"], 2),
+    (["rdiff", "U_2_4", "1", "2"], 0),
+    (["disc", "U_2_4", "1", "2", "3"], 0),
+    (["verify-cert", str(shipped_store_dir() / "v8_12.cert")], 0),
+], ids=["check_V8", "check_nP", "rdiff", "disc", "verify_cert"])
+def test_exact_commands_run_without_numpy(argv, code):
+    done = _python(_NUMPY_BLOCKED, *argv)
+    assert done.returncode == code, done.stderr
+    assert done.stderr == ""
+
+
+def test_refute_without_numpy_is_one_line_exit_4():
+    done = _python(_NUMPY_BLOCKED, "check-hpp", "nP", "--refute")
+    assert done.returncode == 4
+    assert done.stderr.startswith("error: internal error: ModuleNotFoundError")
+    assert done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
