@@ -4,6 +4,11 @@ A certificate claims  sum_i w_i * q_i^2  ==  target  for positive rational
 weights w_i and polynomials q_i.  Verification is exact; a mismatch is a
 verdict (with the first differing monomial), never an exception.
 
+The expansion is computed over the integers, by
+`polynomial.weighted_square_sum`: an integer polynomial N and a positive
+integer D with N == D * sum_i w_i * q_i^2.  `verify` compares N with
+D * target, and `expand` returns N / D.
+
 File format: JSON with fields
 
     {"matroid": "F7m4", "pair": [1, 2],
@@ -24,7 +29,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from hppcheck.polynomial import (Polynomial, PolynomialParseError,
-                                 format_polynomial, parse_polynomial)
+                                 format_polynomial, parse_polynomial,
+                                 weighted_square_sum)
 
 CERT_SUFFIX = ".cert"
 
@@ -61,11 +67,8 @@ class SosCertificate:
         """Exact expansion sum_i w_i * q_i^2 on ground set of size m."""
         if m is None:
             m = self.ground_size()
-        total = Polynomial.zero(m)
-        for w, q in self.terms:
-            qq = q.padded(m)
-            total = total + qq.square().scalar_mul(w)
-        return total
+        N, D = weighted_square_sum(m, self.terms)
+        return N if D == 1 else N.scalar_mul(Fraction(1, D))
 
     def key(self) -> tuple[str, tuple[int, int]] | None:
         if self.matroid_name is None or self.pair is None:
@@ -99,15 +102,13 @@ def verify(cert: SosCertificate, target: Polynomial) -> Verdict:
     On failure, reports the graded-lex-first differing monomial with both
     coefficients.
     """
-    if cert.ground_size() > target.m:
-        # a variable outside the target's ground set can never match
-        expansion = cert.expand()
-        tgt = target.padded(expansion.m)
-    else:
-        expansion = cert.expand(target.m)
-        tgt = target
-    if expansion == tgt:
+    # a variable outside the target's ground set can never match
+    m = max(cert.ground_size(), target.m)
+    tgt = target.padded(m)
+    N, D = weighted_square_sum(m, cert.terms)
+    if N == (tgt if D == 1 else tgt.scalar_mul(D)):
         return Verdict(passed=True)
+    expansion = cert.expand(m)
     diff = expansion - tgt
     exps, _ = diff.sorted_terms()[0]
     return Verdict(passed=False, monomial=exps,

@@ -85,7 +85,15 @@ def _load_matroid(ref: str) -> Matroid:
 def _load_polynomial(ref: str) -> Polynomial:
     """Resolve to a polynomial: catalog/uniform names give the basis
     polynomial, otherwise the file is read in the polynomial grammar."""
-    return _load(ref, Matroid.basis_polynomial, parse_polynomial)
+    def parse(text: str) -> Polynomial:
+        try:
+            return parse_polynomial(text)
+        except PolynomialParseError as exc:
+            # a matroid file lands here too: say what was expected
+            raise PolynomialParseError(
+                f"{ref}: expected a catalog name or a polynomial file: "
+                f"{exc}") from None
+    return _load(ref, Matroid.basis_polynomial, parse)
 
 
 def _check_elements(m: int, *elements: int) -> None:

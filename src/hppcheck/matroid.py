@@ -199,25 +199,30 @@ class Matroid:
             common &= mask
         return _mask_to_subset(common)
 
+    def _fill_degree_tables(self) -> None:
+        """Both degree tables in one pass.  Bit i of the bitset S_e is set
+        when basis i contains e, so e lies in S_e.bit_count() bases and
+        the pair {e, f} in (S_e & S_f).bit_count()."""
+        sets = [0] * self.m
+        for i, mask in enumerate(self._masks):
+            bit = 1 << i
+            while mask:
+                low = mask & -mask
+                sets[low.bit_length() - 1] |= bit
+                mask ^= low
+        self._degrees = tuple(s.bit_count() for s in sets)
+        self._pair_degrees = {(e + 1, f + 1): (sets[e] & sets[f]).bit_count()
+                              for e, f in combinations(range(self.m), 2)}
+
     def element_degree(self, e: int) -> int:
         """Number of bases containing e."""
         if self._degrees is None:
-            degs = [0] * self.m
-            for mask in self._masks:
-                for i in range(self.m):
-                    if mask >> i & 1:
-                        degs[i] += 1
-            self._degrees = tuple(degs)
+            self._fill_degree_tables()
         return self._degrees[e - 1]
 
     def _pair_degree(self, e: int, f: int) -> int:
         if self._pair_degrees is None:
-            pd: dict[tuple[int, int], int] = {}
-            for e1, f1 in combinations(range(1, self.m + 1), 2):
-                both = (1 << (e1 - 1)) | (1 << (f1 - 1))
-                pd[(e1, f1)] = sum(1 for mask in self._masks
-                                   if mask & both == both)
-            self._pair_degrees = pd
+            self._fill_degree_tables()
         key = (e, f) if e < f else (f, e)
         return self._pair_degrees[key]
 
@@ -327,18 +332,18 @@ class Matroid:
 
         The key is (m, rank, number of bases, sorted element degrees,
         sorted pair degrees), where a degree counts the bases containing an
-        element or a pair.  Isomorphic matroids share it, but it is an
-        invariant, not a complete key: matroids that are not isomorphic can
-        share it too, so every match on it has to be confirmed with
-        `is_isomorphic`.
+        element or a pair, as popcounts of per-element bitsets over the
+        bases (`_fill_degree_tables`).  Isomorphic matroids share it, but it
+        is an invariant, not a complete key: matroids that are not
+        isomorphic can share it too, so every match on it has to be
+        confirmed with `is_isomorphic`.
         """
         if self._canonical is None:
-            degs = sorted(self.element_degree(e) for e in range(1, self.m + 1))
-            pair_profile = sorted(
-                self._pair_degree(e, f)
-                for e, f in combinations(range(1, self.m + 1), 2))
+            if self._pair_degrees is None:
+                self._fill_degree_tables()
             self._canonical = (self.m, self.rank, len(self._masks),
-                               tuple(degs), tuple(pair_profile))
+                               tuple(sorted(self._degrees)),
+                               tuple(sorted(self._pair_degrees.values())))
         return self._canonical
 
     def is_isomorphic(self, other: Matroid) -> tuple[int, ...] | None:

@@ -20,9 +20,9 @@ Each polynomial carries a bound on its largest exponent for that check.
 Outside the class a monomial is an exponent tuple (a1, ..., am): the
 constructor takes a map from tuples to coefficients, and `terms` is the
 same kind of map, built from the keys on first read and cached.
-`coefficient`, `sorted_terms`, `eval_rational`, `permuted` and the text
-format read that view; the ring operations, minors and shape predicates
-read only the keys.
+`coefficient`, `sorted_terms`, `permuted` and the text format read that
+view; the ring operations, minors, shape predicates, `eval_rational` and
+`weighted_square_sum` read only the keys.
 
 Canonical term order is graded lexicographic: higher total degree first,
 ties broken by the exponent tuple in descending lexicographic order (y1
@@ -45,6 +45,8 @@ A variable may repeat at most MAX_EXPONENT times in one term.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm, prod
+from operator import getitem
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -76,7 +78,11 @@ def _graded_lex_key(exps: Exponents) -> tuple:
 
 
 def _clean(terms: dict[int, Coefficient]) -> dict[int, Coefficient]:
-    """Drop zero coefficients and store integral ones as int."""
+    """Drop zero coefficients and store integral ones as int.  A dict of
+    ints alone is returned as it is when it holds no zero."""
+    vals = terms.values()
+    if Fraction not in set(map(type, vals)):
+        return terms if 0 not in vals else {k: c for k, c in terms.items() if c}
     return {k: c if type(c) is int else int(c.numerator) if c.denominator == 1 else c
             for k, c in terms.items() if c}
 
@@ -120,9 +126,9 @@ class Polynomial:
         every key packs m exponents, no coefficient is zero, integral ones
         are int, and no exponent exceeds top <= MAX_EXPONENT.  The dict is
         taken over, not copied, and never changed afterwards.  Only the
-        ring operations, minors and relabelings below and
-        `Matroid.basis_polynomial` call this; input from outside goes
-        through __init__."""
+        ring operations, minors and relabelings below,
+        `weighted_square_sum` and `Matroid.basis_polynomial` call this;
+        input from outside goes through __init__."""
         p = object.__new__(cls)
         p.m = m
         p._keys = keys
@@ -284,18 +290,30 @@ class Polynomial:
     # -- evaluation -----------------------------------------------------
 
     def eval_rational(self, point: Sequence[Coefficient]) -> Fraction:
+        """Exact value at point, always a Fraction.  With x_i = a_i/b_i and
+        E_i the largest exponent of y_i, the sum of L*c * prod(a_i^e_i *
+        b_i^(E_i - e_i)) over the terms, where L clears the coefficients'
+        denominators, is over the integers; one Fraction divides it by
+        L * prod(b_i^E_i)."""
         if len(point) != self.m:
             raise GroundSetMismatchError(
                 f"point length {len(point)} does not match ground set size {self.m}")
         vals = [Fraction(x) for x in point]
-        total = Fraction(0)
-        for exps, c in self.terms.items():
-            term = c
-            for v, e in zip(vals, exps):
-                if e:
-                    term *= v ** e
-            total += term
-        return total
+        keys = self._keys
+        m = self.m
+        exps = [k.to_bytes(m, "little") for k in keys]
+        high = list(map(max, zip(*exps))) if exps else [0] * m
+        # powers[i][e] = a_i^e * b_i^(E_i - e) = b_i^E_i * x_i^e
+        powers = [[v.numerator ** e * v.denominator ** (top - e)
+                   for e in range(top + 1)] for v, top in zip(vals, high)]
+        coeffs = keys.values()
+        scale = lcm(*(c.denominator for c in coeffs if type(c) is not int))
+        if scale > 1:
+            coeffs = [c.numerator * (scale // c.denominator) for c in coeffs]
+        total = sum(c * prod(map(getitem, powers, ex))
+                    for c, ex in zip(coeffs, exps))
+        return Fraction(total, scale * prod(v.denominator ** top
+                                            for v, top in zip(vals, high)))
 
     # -- predicates and shape -------------------------------------------
 
@@ -368,6 +386,48 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.m}, {format_polynomial(self)!r})"
+
+
+def weighted_square_sum(m: int, terms: Iterable[tuple[Coefficient, Polynomial]]
+                        ) -> tuple[Polynomial, int]:
+    """(N, D) with N == D * sum_i w_i * q_i^2 on the ground set of size m,
+    for the (w_i, q_i) of terms: N = sum_i (w_i * D / L_i^2) * (L_i * q_i)^2
+    is summed over the integers, where L_i clears q_i's denominators and D
+    is the least common denominator of the w_i / L_i^2.  Raises as padded
+    and square do."""
+    scaled = []
+    top = 0
+    for w, q in terms:
+        if q.m > m:
+            raise GroundSetMismatchError(
+                f"cannot shrink ground set from {q.m} to {m}")
+        top = max(top, 2 * q._top)
+        if top > MAX_EXPONENT:
+            raise ValueError(
+                f"product could have an exponent above {MAX_EXPONENT}")
+        coeffs = q._keys
+        L = lcm(*(c.denominator for c in coeffs.values() if type(c) is not int))
+        if L > 1:
+            coeffs = {k: c.numerator * (L // c.denominator)
+                      for k, c in coeffs.items()}
+        a, b = Fraction(w).as_integer_ratio()
+        scaled.append((a, b * L * L, coeffs))   # w / L^2 = a / (b L^2)
+    D = lcm(*(b // gcd(a, b) for a, b, _ in scaled))
+    out: dict[int, int] = {}
+    get = out.get
+    for a, b, coeffs in scaled:
+        c = a * D // b
+        items = list(coeffs.items())
+        # (sum_j u_j)^2 = sum_j u_j^2 + 2 sum_{j<l} u_j u_l; keys add
+        for j, (k1, u1) in enumerate(items):
+            cu = c * u1
+            k = k1 + k1
+            out[k] = get(k, 0) + cu * u1
+            cu += cu
+            for k2, u2 in items[j + 1:]:
+                k = k1 + k2
+                out[k] = get(k, 0) + cu * u2
+    return Polynomial._trusted(m, {k: c for k, c in out.items() if c}, top), D
 
 
 # -- text format ------------------------------------------------------------

@@ -42,9 +42,9 @@ def rayleigh_diff_multiaffine(Z: Polynomial, e: int, f: int) -> Polynomial:
         raise ValueError("Rayleigh difference needs two distinct indices")
     if not Z.is_multiaffine():
         raise ValueError("minor form requires a multiaffine polynomial")
-    Zef_del = Z.delete(e).delete(f)
-    return Z.contract(e).delete(f) * Z.contract(f).delete(e) \
-        - Z.contract(e).contract(f) * Zef_del
+    Ze = Z.contract(e)
+    return Ze.delete(f) * Z.contract(f).delete(e) \
+        - Ze.contract(f) * Z.delete(e).delete(f)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hppcheck.catalog import entry
 from hppcheck.certificate import (CertificateParseError,
                                   DuplicateCertificateError, SosCertificate,
-                                  certificate_from_text, certificate_to_text,
-                                  format_fraction, load_store, shipped_store,
-                                  verify)
-from hppcheck.polynomial import parse_polynomial
+                                  Verdict, certificate_from_text,
+                                  certificate_to_text, format_fraction,
+                                  load_store, shipped_store, verify)
+from hppcheck.polynomial import (GroundSetMismatchError, Polynomial,
+                                 parse_polynomial, weighted_square_sum)
 from hppcheck.rayleigh import rayleigh_diff_multiaffine
 
 
@@ -72,6 +75,129 @@ class TestVerify:
             exp = cert.expand()
             assert exp.is_homogeneous()
             assert exp.total_degree() == 2 * (rank - 1), name
+
+
+# -- integer expansion against the Fraction loop --------------------------------
+
+def ref_expand(cert, m=None):
+    """The Fraction loop SosCertificate.expand once ran: each weighted
+    square through the Polynomial ring operations."""
+    if m is None:
+        m = cert.ground_size()
+    total = Polynomial.zero(m)
+    for w, q in cert.terms:
+        total = total + q.padded(m).square().scalar_mul(w)
+    return total
+
+
+def ref_verify(cert, target):
+    """verify as it once ran, on ref_expand."""
+    if cert.ground_size() > target.m:
+        expansion = ref_expand(cert)
+        tgt = target.padded(expansion.m)
+    else:
+        expansion = ref_expand(cert, target.m)
+        tgt = target
+    if expansion == tgt:
+        return Verdict(passed=True)
+    exps, _ = (expansion - tgt).sorted_terms()[0]
+    return Verdict(passed=False, monomial=exps, expected=tgt.coefficient(exps),
+                   actual=expansion.coefficient(exps))
+
+
+def assert_same_polynomial(got, want):
+    """Equal terms with equal coefficient types, on the same ground set and
+    with the same exponent bound."""
+    assert (got.m, got._top) == (want.m, want._top)
+    assert ({e: (c, type(c)) for e, c in got.terms.items()}
+            == {e: (c, type(c)) for e, c in want.terms.items()})
+
+
+def assert_same_verdict(cert, target):
+    got, want = verify(cert, target), ref_verify(cert, target)
+    assert got == want
+    assert type(got.expected) is type(want.expected)
+    assert type(got.actual) is type(want.actual)
+    return got
+
+
+coeffs = st.one_of(st.integers(-5, 5),
+                   st.builds(Fraction, st.integers(-5, 5), st.integers(1, 6)))
+weights = st.one_of(st.integers(1, 4),
+                    st.builds(Fraction, st.integers(1, 9), st.integers(1, 12)))
+
+
+def exponents(m):
+    return st.tuples(*[st.integers(0, 2)] * m)
+
+
+@st.composite
+def certificates(draw):
+    """Up to four weighted squares; each q on its own ground set of at most
+    m <= 5 variables, so expansion pads them."""
+    m = draw(st.integers(0, 5))
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        k = draw(st.integers(0, m))
+        q = Polynomial(k, draw(st.dictionaries(exponents(k), coeffs, max_size=5)))
+        terms.append((draw(weights), q))
+    return SosCertificate(terms=tuple(terms))
+
+
+class TestIntegerExpansion:
+    @given(certificates(), st.integers(0, 2))
+    def test_expand_matches_fraction_loop(self, cert, extra):
+        assert_same_polynomial(cert.expand(), ref_expand(cert))
+        m = cert.ground_size() + extra
+        assert_same_polynomial(cert.expand(m), ref_expand(cert, m))
+        N, D = weighted_square_sum(m, cert.terms)
+        assert D >= 1 and all(type(c) is int for c in N.terms.values())
+        assert N == ref_expand(cert, m).scalar_mul(D)
+
+    @given(certificates(), st.data())
+    def test_verdict_matches_fraction_loop(self, cert, data):
+        # the target's ground set may be narrower than the certificate's
+        wide = cert.ground_size()
+        mt = data.draw(st.integers(0, wide + 1))
+        full = ref_expand(cert, max(wide, mt)).terms
+        fit = {e[:mt]: c for e, c in full.items() if not any(e[mt:])}
+        kind = data.draw(st.sampled_from(("exact", "perturbed", "random")))
+        if kind == "random":
+            terms = data.draw(st.dictionaries(exponents(mt), coeffs, max_size=6))
+        else:
+            terms = dict(fit)
+            if kind == "perturbed":
+                e = data.draw(exponents(mt))
+                terms[e] = terms.get(e, 0) + data.draw(coeffs.filter(bool))
+        target = Polynomial(mt, terms)
+        verdict = assert_same_verdict(cert, target)
+        if kind == "perturbed" and mt >= wide:
+            assert not verdict.passed
+
+    def test_wider_certificate(self):
+        # q on five variables, target on three: the padded target can match
+        c = cert_of(("1/2", "y1 - 2/3*y2"), m=5)
+        assert assert_same_verdict(c, P("1/2*y1*y1 - 2/3*y1*y2 + 2/9*y2*y2", 3))
+        v = assert_same_verdict(cert_of(("1", "y4"), m=5), P("y1*y1", 3))
+        assert v.monomial == (2, 0, 0, 0, 0) and (v.expected, v.actual) == (1, 0)
+
+    def test_shipped_certificates_match_fraction_loop(self):
+        for (name, pair), cert in shipped_store().by_key.items():
+            target = rayleigh_diff_multiaffine(entry(name).matroid.basis_polynomial(),
+                                               *pair)
+            assert_same_polynomial(cert.expand(), ref_expand(cert))
+            assert assert_same_verdict(cert, target)
+            off = target + Polynomial.constant(target.m, Fraction(1, 3))
+            assert not assert_same_verdict(cert, off)
+
+    def test_errors_match_fraction_loop(self):
+        high = SosCertificate(terms=((Fraction(1), Polynomial(1, {(128,): 1})),))
+        narrow = cert_of(("1", "y1 + y3"), m=3)
+        for expand in (SosCertificate.expand, ref_expand):
+            with pytest.raises(ValueError, match="above 255"):
+                expand(high)
+            with pytest.raises(GroundSetMismatchError):
+                expand(narrow, 2)
 
 
 class TestFilesAndStore:

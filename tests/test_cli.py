@@ -477,6 +477,23 @@ class TestUsageAndHelp:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [["rdiff", "{file}", "1", "2"],
+                                      ["disc", "{file}", "1", "2", "3"],
+                                      ["sos-search", "{file}"]],
+                             ids=["rdiff", "disc", "sos-search"])
+    def test_matroid_file_where_a_polynomial_is_expected(self, capsys,
+                                                         tmp_path, argv):
+        # once only "error: unexpected character '{' at position 0"
+        path = tmp_path / "v8.json"
+        code, out, _ = run(capsys, "bases", "V8")
+        assert code == 0
+        path.write_text(out)
+        code, out, err = run(capsys, *(a.format(file=path) for a in argv))
+        assert code == 3 and out == ""
+        assert err == (f"error: {path}: expected a catalog name or a "
+                       "polynomial file: unexpected character '{' at "
+                       "position 0\n")
+
     @pytest.mark.parametrize("cmd", ["catalog", "bases", "minor", "dual",
                                      "iso", "rdiff", "disc", "verify-cert",
                                      "check-hpp", "sos-search", "sample"])

@@ -1,8 +1,11 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from hppcheck.catalog import catalog, uniform
+from hppcheck.catalog import CATALOG_NAMES, catalog, entry, uniform
 from hppcheck.matroid import (BasisExchangeError, DegenerateMinorError,
                               Matroid, MatroidParseError, find_labeling,
                               matroid_from_text, matroid_to_text)
@@ -135,6 +138,57 @@ class TestCanonicalKey:
         keys = {name: ents[name].matroid.canonical_key()
                 for name in ("F7m4", "F7m5", "W3p", "W3pe", "P7p", "P7pp")}
         assert len(set(keys.values())) == 6
+
+
+def ref_degree_tables(M):
+    """The degree tables by definition: per element, and per pair, the
+    number of basis masks that contain it."""
+    masks = M.basis_masks()
+    degs = tuple(sum(1 for mask in masks if mask >> (e - 1) & 1)
+                 for e in range(1, M.m + 1))
+    pairs = {}
+    for e, f in combinations(range(1, M.m + 1), 2):
+        both = (1 << (e - 1)) | (1 << (f - 1))
+        pairs[(e, f)] = sum(1 for mask in masks if mask & both == both)
+    return degs, pairs
+
+
+def assert_degree_tables(M):
+    degs, pairs = ref_degree_tables(M)
+    # a fresh copy per entry point: each one fills the tables itself
+    fresh = [Matroid(M.m, M.rank, M.bases(), validate=False) for _ in range(3)]
+    assert fresh[0].canonical_key() == (M.m, M.rank, M.num_bases(),
+                                        tuple(sorted(degs)),
+                                        tuple(sorted(pairs.values())))
+    assert tuple(fresh[1].element_degree(e) for e in range(1, M.m + 1)) == degs
+    for (e, f), d in pairs.items():
+        assert fresh[2]._pair_degree(e, f) == fresh[2]._pair_degree(f, e) == d
+    for N in fresh:
+        assert N.canonical_key() == fresh[0].canonical_key()
+
+
+class TestDegreeTables:
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_catalog_minors_and_dual(self, name):
+        M = entry(name).matroid
+        assert_degree_tables(M)
+        assert_degree_tables(M.dual())
+        for e in range(1, M.m + 1):
+            if M.m > 1 and e not in M.coloops():
+                assert_degree_tables(M.delete(e))
+            if M.m > 1 and e not in M.loops():
+                assert_degree_tables(M.contract(e))
+
+    @given(st.sampled_from(CATALOG_NAMES), st.randoms(use_true_random=False))
+    def test_random_relabelings(self, name, rng):
+        M = entry(name).matroid
+        perm = list(range(1, M.m + 1))
+        rng.shuffle(perm)
+        N = M.relabeled(perm)
+        assert_degree_tables(N)
+        for e, f in combinations(range(1, M.m + 1), 2):
+            assert N.element_degree(perm[e - 1]) == M.element_degree(e)
+            assert N._pair_degree(perm[e - 1], perm[f - 1]) == M._pair_degree(e, f)
 
 
 class TestBasisPolynomial:

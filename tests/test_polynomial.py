@@ -394,6 +394,69 @@ class TestPackedKeys:
             parse_polynomial("*".join(["y1"] * 256))
 
 
+# -- eval_rational over the integers against the Fraction loop -----------------
+
+def ref_eval_rational(p, point):
+    """The Fraction loop eval_rational once ran over the tuple view."""
+    if len(point) != p.m:
+        raise GroundSetMismatchError("point length does not match")
+    vals = [Fraction(x) for x in point]
+    total = Fraction(0)
+    for exps, c in p.terms.items():
+        term = c
+        for v, e in zip(vals, exps):
+            if e:
+                term *= v ** e
+        total += term
+    return total
+
+
+# zero, negative, rational and float coordinates
+coordinates = st.one_of(
+    st.just(0), st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+    st.floats(-8, 8, allow_nan=False, width=32))
+
+
+def assert_same_value(p, point):
+    got, want = p.eval_rational(point), ref_eval_rational(p, point)
+    assert got == want and type(got) is type(want) is Fraction
+
+
+class TestEvalRationalReference:
+    @given(polynomial_pairs(), st.data())
+    def test_matches_fraction_loop(self, pair, data):
+        # int and Fraction coefficients, m from 0 to 8, exponents to 128
+        for p in pair:
+            point = data.draw(st.lists(coordinates, min_size=p.m, max_size=p.m))
+            assert_same_value(p, point)
+
+    @given(st.integers(1, 4), st.data())
+    def test_one_variable_at_max_exponent(self, m, data):
+        exps = [0] * m
+        exps[data.draw(st.integers(0, m - 1))] = MAX_EXPONENT
+        terms = data.draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * m),
+                                          rationals, max_size=4))
+        terms[tuple(exps)] = data.draw(rationals.filter(bool))
+        point = data.draw(st.lists(coordinates, min_size=m, max_size=m))
+        assert_same_value(Polynomial(m, terms), point)
+
+    def test_zero_polynomial_and_empty_ground_set(self):
+        for p, point in ((Polynomial.zero(3), [Fraction(1, 2), -2, 0.25]),
+                         (Polynomial.zero(0), []),
+                         (Polynomial.constant(0, 5), []),
+                         (Polynomial.constant(0, Fraction(-3, 4)), []),
+                         (P("y1*y1*y2 - 1/6*y2", 3), [0, 0.5, -7])):
+            assert_same_value(p, point)
+        assert P("y1", 1).eval_rational([Fraction(-1, 3)]) == Fraction(-1, 3)
+
+    def test_nonfinite_coordinates_raise_as_before(self):
+        for bad, error in ((float("nan"), ValueError), (float("inf"), OverflowError)):
+            for evaluate in (Polynomial.eval_rational, ref_eval_rational):
+                with pytest.raises(error):
+                    evaluate(P("y1 + y2", 2), [1, bad])
+
+
 def output_text() -> str:
     """Every printed Rayleigh difference of every catalog matroid, one
     seeded discriminant per matroid, and every shipped certificate's text."""
