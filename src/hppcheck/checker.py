@@ -327,6 +327,9 @@ class StrongRayleighChecker:
         ent = entry(ename)
         out = {}
         for epair in self.store.pairs_for(ename):
+            # a loop or a label outside the entry is no pair of M
+            if not all(x in ent.strip_map for x in epair):
+                continue
             if not _entry_certificate_verifies(self.store, ename, epair):
                 continue
             m_pair = _entry_pair_in_m(ent, perm, epair)

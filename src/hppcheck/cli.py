@@ -234,17 +234,14 @@ def _cmd_check_hpp(args) -> int:
 
 
 def _cmd_sos_search(args) -> int:
-    from hppcheck.sos_search import (GramProblemError, build_problem,
-                                     search_certificate)
+    from hppcheck.sos_search import (GramProblemError, UnsuitableTargetError,
+                                     build_problem, search_certificate)
     target = _load_polynomial(args.polyfile)
-    # unsuitable input, not a proof that no Gram matrix exists (FAIL)
-    if (target.is_zero() or not target.is_homogeneous()
-            or target.total_degree() % 2
-            or any(e > 2 for exps in target.terms for e in exps)):
-        raise UsageError("sos-search requires a nonzero homogeneous target of "
-                         "even degree with no variable above degree 2")
     try:
         build_problem(target)
+    except UnsuitableTargetError as exc:
+        # unsuitable input, not a proof that no Gram matrix exists (FAIL)
+        raise UsageError(f"sos-search target: {exc}") from None
     except GramProblemError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_FAIL

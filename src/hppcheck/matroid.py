@@ -76,6 +76,20 @@ def _mask_to_subset(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _map_bits(masks: Iterable[int], image: Sequence[int]) -> list[int]:
+    """Each mask with its bit i replaced by the bits of image[i]; only the
+    set bits are walked, as in `Matroid._fill_degree_tables`."""
+    out = []
+    for mask in masks:
+        new = 0
+        while mask:
+            low = mask & -mask
+            new |= image[low.bit_length() - 1]
+            mask ^= low
+        out.append(new)
+    return out
+
+
 class Matroid:
     """Immutable matroid on ground set {1..m} with explicit bases."""
 
@@ -275,14 +289,8 @@ class Matroid:
         """Apply a ground-set permutation: element i maps to perm[i-1]."""
         if sorted(perm) != list(range(1, self.m + 1)):
             raise ValueError("perm is not a permutation of the ground set")
-        new_masks = []
-        for mask in self._masks:
-            out = 0
-            for i in range(self.m):
-                if mask >> i & 1:
-                    out |= 1 << (perm[i] - 1)
-            new_masks.append(out)
-        return Matroid._trusted(self.m, self.rank, new_masks)
+        return Matroid._trusted(self.m, self.rank, _map_bits(
+            self._masks, [1 << (p - 1) for p in perm]))
 
     def remove_as_loop(self, e: int) -> Matroid:
         """Drop every basis containing e, keeping the labeling (e becomes a loop)."""
@@ -304,14 +312,10 @@ class Matroid:
             return self, {e: e for e in range(1, self.m + 1)}
         survivors = [e for e in range(1, self.m + 1) if e not in loops]
         mapping = {old: new for new, old in enumerate(survivors, start=1)}
-        masks = []
-        for mask in self._masks:
-            out = 0
-            for i, old in enumerate(survivors):
-                if mask >> (old - 1) & 1:
-                    out |= 1 << i
-            masks.append(out)
-        return Matroid._trusted(len(survivors), self.rank, masks,
+        image = [1 << (mapping[e] - 1) if e in mapping else 0
+                 for e in range(1, self.m + 1)]
+        return Matroid._trusted(len(survivors), self.rank,
+                                _map_bits(self._masks, image),
                                 name=self.name), mapping
 
     def _check_element(self, e: int) -> None:
@@ -369,14 +373,8 @@ class Matroid:
 
         def backtrack(i: int) -> bool:
             if i == m:
-                mapped = set()
-                for mask in self._masks:
-                    out = 0
-                    for k in range(m):
-                        if mask >> k & 1:
-                            out |= 1 << (assignment[k] - 1)
-                    mapped.add(out)
-                return mapped == set(other._mask_set)
+                image = [1 << (b - 1) for b in assignment]
+                return set(_map_bits(self._masks, image)) == other._mask_set
             for b in range(1, m + 1):
                 if used[b] or not compatible(i, b):
                     continue

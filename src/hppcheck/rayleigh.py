@@ -12,16 +12,17 @@ Viewed as a quadratic in a third variable y_g,
 
     diff(Z, e, f) = A*y_g^2 + B*y_g + C
 
-with A, B, C expressible in the eight minors of Z at {e, f, g}.  The
-discriminant B^2 - 4AC is symmetric in {e, f, g}; both the direct form
-and the fully expanded symmetric form are implemented and cross-checked
-in tests (the expanded form is long and transcription-prone, so neither
-implementation is trusted alone).
+where A, B and C are read off the difference's powers of y_g (at most 2
+for multiaffine Z).  The discriminant B^2 - 4AC is symmetric in {e, f, g};
+it is computed from that read-off and from its expanded form in the eight
+minors of Z at {e, f, g}, two forms that share only polynomial arithmetic
+and are cross-checked in tests (neither is trusted alone).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from hppcheck.polynomial import Polynomial
 
@@ -66,10 +67,27 @@ class QuadDecomposition:
     def discriminant(self) -> Polynomial:
         return self.B * self.B - self.A * self.C * 4
 
-    def recombine(self) -> Polynomial:
-        """A*y_g^2 + B*y_g + C on the common ground set."""
-        yg = Polynomial.variable(self.A.m, self.g)
-        return self.A * yg * yg + self.B * yg + self.C
+
+def quad_decompose(Z: Polynomial, e: int, f: int, g: int) -> QuadDecomposition:
+    """Decompose diff(Z, e, f) as a quadratic in y_g.
+
+    Requires Z multiaffine and e, f, g distinct.  With D = diff(Z, e, f),
+    of degree at most 2 in y_g: C = D at y_g = 0, B = dD/dy_g at y_g = 0
+    and A = (d^2D/dy_g^2) / 2, so every term of D lands in one part.
+    """
+    if len({e, f, g}) != 3:
+        raise ValueError("indices e, f, g must be distinct")
+    if not Z.is_multiaffine():
+        raise ValueError("quadratic decomposition requires a multiaffine polynomial")
+    diff = rayleigh_diff_multiaffine(Z, e, f)
+    d_g = diff.contract(g)
+    A = d_g.contract(g).scalar_mul(Fraction(1, 2))
+    return QuadDecomposition(e, f, g, A, d_g.delete(g), diff.delete(g))
+
+
+def discriminant(Z: Polynomial, e: int, f: int, g: int) -> Polynomial:
+    """B^2 - 4AC of the quadratic decomposition of diff(Z, e, f) in y_g."""
+    return quad_decompose(Z, e, f, g).discriminant()
 
 
 def _eight_minors(Z: Polynomial, e: int, f: int, g: int) -> tuple[Polynomial, ...]:
@@ -88,34 +106,6 @@ def _eight_minors(Z: Polynomial, e: int, f: int, g: int) -> tuple[Polynomial, ..
         Ze.contract(f).contract(g),
         Z.delete(e).delete(f).delete(g),
     )
-
-
-def quad_decompose(Z: Polynomial, e: int, f: int, g: int) -> QuadDecomposition:
-    """Decompose diff(Z, e, f) as a quadratic in y_g via the minor formulas.
-
-    Requires Z multiaffine and e, f, g distinct.  The defining identity
-    A*y_g^2 + B*y_g + C == diff(Z, e, f) is re-checked internally.
-    """
-    if len({e, f, g}) != 3:
-        raise ValueError("indices e, f, g must be distinct")
-    if not Z.is_multiaffine():
-        raise ValueError("quadratic decomposition requires a multiaffine polynomial")
-    p_e_fg, p_fg_e, p_f_eg, p_eg_f, p_g_ef, p_ef_g, p_efg, p_del = \
-        _eight_minors(Z, e, f, g)
-    A = p_eg_f * p_fg_e - p_efg * p_g_ef
-    B = p_e_fg * p_fg_e + p_f_eg * p_eg_f - p_g_ef * p_ef_g - p_efg * p_del
-    C = p_e_fg * p_f_eg - p_ef_g * p_del
-    dec = QuadDecomposition(e=e, f=f, g=g, A=A, B=B, C=C)
-    if dec.recombine() != rayleigh_diff(Z, e, f):
-        raise RuntimeError(
-            "internal error: quadratic decomposition does not recombine to the "
-            "Rayleigh difference")
-    return dec
-
-
-def discriminant(Z: Polynomial, e: int, f: int, g: int) -> Polynomial:
-    """B^2 - 4AC of the quadratic decomposition of diff(Z, e, f) in y_g."""
-    return quad_decompose(Z, e, f, g).discriminant()
 
 
 def discriminant_symmetric_form(Z: Polynomial, e: int, f: int, g: int) -> Polynomial:

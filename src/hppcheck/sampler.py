@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from hppcheck.polynomial import Polynomial
+# rayleigh_diff is unused here, but perfbench/tracing.py wraps sampler.rayleigh_diff
 from hppcheck.rayleigh import rayleigh_diff, rayleigh_diff_multiaffine
 
 RAYLEIGH = "RAYLEIGH"
@@ -53,6 +54,10 @@ class SampleConfig:
             raise ValueError(f"box bounds must be finite, got {lo} {hi}")
         if lo >= hi:
             raise ValueError(f"box needs lo < hi, got {lo} {hi}")
+        # falsify draws from [lo, hi], hpp_evidence at widest from [-|hi|, |hi|]
+        width = hi - lo if self.mode in (RAYLEIGH, STRONG_RAYLEIGH) else 2 * abs(hi)
+        if not math.isfinite(width):
+            raise ValueError(f"box {lo} {hi} is wider than a float can hold")
         if self.mode == RAYLEIGH and lo <= 0:
             raise ValueError("RAYLEIGH mode boxes must lie in the open "
                              "positive orthant")

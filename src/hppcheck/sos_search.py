@@ -59,6 +59,11 @@ class GramProblemError(ValueError):
     """Raised when the target cannot have a Gram decomposition at all."""
 
 
+class UnsuitableTargetError(GramProblemError):
+    """The target is zero, not homogeneous, of odd degree or has a variable
+    above degree 2: unsuitable input, not a proof that no certificate exists."""
+
+
 @dataclass
 class GramProblem:
     target: Polynomial
@@ -97,16 +102,16 @@ def build_problem(target: Polynomial) -> GramProblem:
     Gram matrix.
     """
     if target.is_zero():
-        raise GramProblemError("zero target needs no certificate")
+        raise UnsuitableTargetError("zero target needs no certificate")
     if not target.is_homogeneous():
-        raise GramProblemError("target must be homogeneous")
+        raise UnsuitableTargetError("target must be homogeneous")
     deg = target.total_degree()
     if deg % 2:
-        raise GramProblemError(f"target degree {deg} is odd")
+        raise UnsuitableTargetError(f"target degree {deg} is odd")
+    if any(e > 2 for exps in target.terms for e in exps):
+        raise UnsuitableTargetError("target has a variable of degree > 2")
     d = deg // 2
     for exps, coeff in target.terms.items():
-        if any(e > 2 for e in exps):
-            raise GramProblemError("target has a variable of degree > 2")
         if all(e % 2 == 0 for e in exps) and coeff < 0:
             raise GramProblemError(
                 "negative pure-square coefficient: any Gram diagonal entry "

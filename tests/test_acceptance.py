@@ -182,7 +182,7 @@ def test_criterion_6_sos_search_smoke():
 
 def test_criterion_7_quadratic_decomposition(proposition_corpus):
     for Z, e, f, g in proposition_corpus:
-        dec = quad_decompose(Z, e, f, g)   # recombination checked internally
+        dec = quad_decompose(Z, e, f, g)
         assert dec.A == rayleigh_diff(Z.contract(g), e, f)
         assert dec.C == rayleigh_diff(Z.delete(g), e, f)
         yg = Polynomial.variable(Z.m, g)

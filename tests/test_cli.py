@@ -177,6 +177,28 @@ class TestCheckHpp:
                            str(tmp_path))
         assert code == 2
 
+    @pytest.mark.parametrize("name,pair,poly,shipped,code", [
+        ("V8", [1, 99], "y1", True, 0),
+        ("V8", [1, 99], "y1", False, 2),
+        ("nP_d1", [1, 2], "0", False, 2),
+    ], ids=["outside_ground_set_with_shipped", "outside_ground_set_alone",
+            "loop_pair"])
+    def test_store_pair_outside_the_core_is_no_evidence(self, capsys, tmp_path,
+                                                        name, pair, poly,
+                                                        shipped, code):
+        # these once ended in "error: variable index 99 outside ground set
+        # 1..8" (exit 4) and "error: 1" (exit 3); element 1 of nP_d1 is a
+        # loop, so its difference at (1, 2) is 0 and the certificate verifies
+        if shipped:
+            for path in shipped_store_dir().glob("*.cert"):
+                (tmp_path / path.name).write_text(path.read_text())
+        (tmp_path / "bad.cert").write_text(json.dumps(
+            {"matroid": name, "pair": pair,
+             "terms": [{"weight": "1", "poly": poly}]}))
+        rc, out, err = run(capsys, "check-hpp", name, "--certs", str(tmp_path))
+        assert (rc, err) == (code, "")
+        assert f"verdict: {'PROVED' if code == 0 else 'INCONCLUSIVE'}" in out
+
     @pytest.mark.parametrize("refute", [False, True], ids=["plain", "refute"])
     def test_f7_search_gives_up_at_stalls(self, capsys, tmp_path, monkeypatch,
                                           refute):
@@ -247,6 +269,15 @@ class TestSampleAndSearch:
         code, out, err = run(capsys, "sos-search", str(poly))
         assert code == 3
         assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_sos_search_shape_comes_before_signs(self, capsys, tmp_path):
+        # a negative pure square would be infeasible (exit 1), but the
+        # variable of degree 3 makes the target unsuitable first
+        poly = tmp_path / "t.poly"
+        poly.write_text("-1*y1*y1*y2*y2 + y3*y3*y3*y4")
+        code, out, err = run(capsys, "sos-search", str(poly))
+        assert (code, out) == (3, "")
         assert err.startswith("error:") and err.count("\n") == 1
 
     def test_sos_search_without_squares_is_infeasible(self, capsys, tmp_path):
@@ -447,11 +478,16 @@ class TestUsageAndHelp:
         ["--mode", "strong-rayleigh", "--box", "5", "1"],
         ["--mode", "rayleigh", "--box", "-1", "1"],
         ["--mode", "strong-rayleigh", "--trials", "0"],
+        ["--mode", "strong-rayleigh", "--box", "-1e308", "1e308"],
+        ["--mode", "hpp", "--box", "0", "1e308"],
+        ["--mode", "stable", "--box", "1", "1.5e308"],
     ], ids=["nan_lo", "inf_box", "hpp_nan_hi", "lo_above_hi",
-            "rayleigh_nonpositive", "zero_trials"])
+            "rayleigh_nonpositive", "zero_trials", "range_overflows",
+            "hpp_range_overflows", "stable_range_overflows"])
     def test_bad_sample_flags_are_a_usage_error(self, capsys, flags):
         # a non-finite box once ended in an OverflowError traceback with
-        # exit 1, the REFUTED code
+        # exit 1, the REFUTED code, and a box of finite bounds whose range
+        # overflows a float in an internal OverflowError, exit 4
         code, out, err = run(capsys, "sample", "U_2_3", *flags)
         assert code == 3
         assert out == ""

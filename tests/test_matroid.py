@@ -191,6 +191,42 @@ class TestDegreeTables:
             assert N._pair_degree(perm[e - 1], perm[f - 1]) == M._pair_degree(e, f)
 
 
+class TestLabelMaps:
+    """`relabeled`, `strip_absent` and the leaf of `is_isomorphic` against
+    their definitions on the bases as element tuples."""
+
+    @given(st.sampled_from(CATALOG_NAMES), st.randoms(use_true_random=False))
+    def test_relabeled_and_isomorphic(self, name, rng):
+        M = entry(name).matroid
+        perm = list(range(1, M.m + 1))
+        rng.shuffle(perm)
+        N = M.relabeled(perm)
+        assert N == Matroid(M.m, M.rank,
+                            [[perm[e - 1] for e in B] for B in M.bases()],
+                            validate=False)
+        got = M.is_isomorphic(N)
+        assert got is not None and M.relabeled(got) == N
+
+    @given(st.sampled_from(CATALOG_NAMES), st.randoms(use_true_random=False))
+    def test_strip_absent(self, name, rng):
+        # nP_d1 has a loop; relabeling moves it, and one more loop is made
+        # by dropping every basis through a random non-coloop element
+        M = entry(name).matroid
+        perm = list(range(1, M.m + 1))
+        rng.shuffle(perm)
+        M = M.relabeled(perm)
+        M = M.remove_as_loop(rng.choice([e for e in range(1, M.m + 1)
+                                         if e not in M.coloops()]))
+        M.name = "named"
+        stripped, mapping = M.strip_absent()
+        survivors = [e for e in range(1, M.m + 1) if e not in M.loops()]
+        assert mapping == {e: i for i, e in enumerate(survivors, start=1)}
+        assert stripped == Matroid(len(survivors), M.rank,
+                                   [[mapping[e] for e in B] for B in M.bases()],
+                                   validate=False)
+        assert stripped.name == "named"
+
+
 class TestBasisPolynomial:
     def test_u12(self):
         assert uniform(1, 2).basis_polynomial() == parse_polynomial("y1 + y2", 2)

@@ -1,9 +1,10 @@
 import random
-from itertools import permutations
+from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
-from hppcheck.catalog import uniform
+from hppcheck.catalog import CATALOG_NAMES, entry, uniform
 from hppcheck.polynomial import Polynomial, parse_polynomial
 from hppcheck.rayleigh import (discriminant, discriminant_symmetric_form,
                                quad_decompose, rayleigh_diff,
@@ -84,7 +85,52 @@ def extract_quadratic(Z, e, f, g):
     return parts.get(2, zero), parts.get(1, zero), parts.get(0, zero)
 
 
+def minor_formula_quadratic(Z, e, f, g):
+    """Reference: A, B, C of diff(Z, e, f) in y_g written in the eight
+    contraction/deletion minors of multiaffine Z at {e, f, g}."""
+    Ze, Zf, Zg = Z.contract(e), Z.contract(f), Z.contract(g)
+    p_e_fg = Ze.delete(f).delete(g)
+    p_fg_e = Zf.contract(g).delete(e)
+    p_f_eg = Zf.delete(e).delete(g)
+    p_eg_f = Ze.contract(g).delete(f)
+    p_g_ef = Zg.delete(e).delete(f)
+    p_ef_g = Ze.contract(f).delete(g)
+    p_efg = Ze.contract(f).contract(g)
+    p_del = Z.delete(e).delete(f).delete(g)
+    A = p_eg_f * p_fg_e - p_efg * p_g_ef
+    B = p_e_fg * p_fg_e + p_f_eg * p_eg_f - p_g_ef * p_ef_g - p_efg * p_del
+    C = p_e_fg * p_f_eg - p_ef_g * p_del
+    return A, B, C
+
+
+def typed_terms(p):
+    """p's terms with each coefficient's type, so int 1 and Fraction 1
+    differ."""
+    return [(exps, c, type(c)) for exps, c in p.sorted_terms()]
+
+
+def catalog_triples():
+    """(Z, e, f, g) for every 3-subset of each catalog matroid, each of
+    its elements once in the role of g."""
+    for name in CATALOG_NAMES:
+        Z = entry(name).matroid.basis_polynomial()
+        for e, f, g in combinations(range(1, Z.m + 1), 3):
+            yield from ((Z, e, f, g), (Z, e, g, f), (Z, f, g, e))
+
+
 class TestQuadDecompose:
+    def test_equals_minor_formulas(self, proposition_corpus):
+        # the corpus again with non-integral coefficients, so that
+        # Fraction coefficients are compared too
+        scaled = [(Z.scalar_mul(Fraction(2, 3)), e, f, g)
+                  for Z, e, f, g in proposition_corpus[:50]]
+        cases = [*proposition_corpus, *scaled, *catalog_triples()]
+        for Z, e, f, g in cases:
+            dec = quad_decompose(Z, e, f, g)
+            ref = minor_formula_quadratic(Z, e, f, g)
+            assert [typed_terms(p) for p in (dec.A, dec.B, dec.C)] \
+                == [typed_terms(p) for p in ref], (Z, e, f, g)
+
     def test_u24_against_extraction_oracle(self):
         Z = uniform(2, 4).basis_polynomial()
         dec = quad_decompose(Z, 1, 2, 3)

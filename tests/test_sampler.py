@@ -122,11 +122,21 @@ class TestConfig:
         {"mode": HPP_EVIDENCE, "box": (1.0, float("nan"))},
         {"box": (5.0, 1.0)},
         {"box": (2.0, 2.0)},
+        {"box": (-1e308, 1e308)},
+        {"mode": HPP_EVIDENCE, "box": (0.0, 1e308)},
+        {"mode": STABLE_EVIDENCE, "box": (1.0, 1.5e308)},
     ], ids=["nan_lo", "inf_hi", "rayleigh_inf", "hpp_nan_hi", "lo_above_hi",
-            "empty_box"])
+            "empty_box", "range_overflows", "hpp_range_overflows",
+            "stable_range_overflows"])
     def test_rejects_bad_arguments(self, kwargs):
         with pytest.raises(ValueError):
             SampleConfig(**kwargs)
+
+    def test_evidence_box_may_reach_far_below_zero(self):
+        # hpp_evidence draws from [max(lo, 0.05), hi] and [-|hi|, |hi|]
+        # only, so a vast lo is no overflow there
+        config = SampleConfig(mode=HPP_EVIDENCE, trials=10, box=(-1e308, 1.0))
+        assert hpp_evidence(parse_polynomial("y1 + y2"), config).min_modulus > 0
 
     def test_zero_restarts_and_steps_allowed(self, monkeypatch):
         Z = uniform(2, 3).basis_polynomial()

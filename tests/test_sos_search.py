@@ -14,8 +14,8 @@ from hppcheck.certificate import certificate_to_text, verify
 from hppcheck.matroid import Matroid
 from hppcheck.polynomial import Polynomial, parse_polynomial
 from hppcheck.rayleigh import rayleigh_diff_multiaffine
-from hppcheck.sos_search import (GramProblemError, _affine_projection,
-                                 _integer_zero_kernel,
+from hppcheck.sos_search import (GramProblemError, UnsuitableTargetError,
+                                 _affine_projection, _integer_zero_kernel,
                                  _nullspace, _project_affine,
                                  _round_robin, _rref,
                                  build_problem, jacobi_eigh, ldlt_psd,
@@ -83,16 +83,31 @@ class TestBuildProblem:
             build_problem(P("-1*y3*y3", 3))
 
     def test_odd_degree_rejected(self):
-        with pytest.raises(GramProblemError):
+        with pytest.raises(UnsuitableTargetError):
             build_problem(P("y1*y2*y3", 3))
 
     def test_high_variable_degree_rejected(self):
-        with pytest.raises(GramProblemError):
+        with pytest.raises(UnsuitableTargetError):
             build_problem(P("y1*y1*y1*y2", 2))
 
     def test_inhomogeneous_rejected(self):
-        with pytest.raises(GramProblemError):
+        with pytest.raises(UnsuitableTargetError):
             build_problem(P("y1*y1 + y2", 2))
+
+    @pytest.mark.parametrize("text", [
+        "0*y1",
+        # the shape is checked over every term before any sign
+        "-1*y1*y1*y2*y2 + y3*y3*y3*y4", "y3*y3*y3*y4 - y1*y1*y2*y2"],
+        ids=["zero", "negative_square_first", "negative_square_last"])
+    def test_unsuitable_target(self, text):
+        with pytest.raises(UnsuitableTargetError):
+            build_problem(P(text, 4))
+
+    @pytest.mark.parametrize("text", ["-1*y3*y3", "y3*y4", "y3*y3 + y3*y4"])
+    def test_infeasible_targets_are_not_unsuitable(self, text):
+        with pytest.raises(GramProblemError) as info:
+            build_problem(P(text, 4))
+        assert not isinstance(info.value, UnsuitableTargetError)
 
 
 class TestSearch:
