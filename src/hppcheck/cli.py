@@ -61,6 +61,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _seed(text: str) -> int:
+    """A --seed value: a non-negative integer, as numpy's generator takes."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 class UsageError(Exception):
     """A well-formed command whose arguments do not fit its input (exit 3)."""
 
@@ -362,7 +374,7 @@ def build_parser() -> _Parser:
                    help="try SOS search when no certificate applies")
     p.add_argument("--refute", action="store_true",
                    help="hunt for exact rational counterexamples")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_seed, default=0,
                    help="seed of the --refute sampler")
     p.add_argument("--format", choices=("text", "structured"), default="text")
     p.add_argument("--out", help="write the report to a file")
@@ -381,7 +393,7 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", required=True,
                    choices=("rayleigh", "strong-rayleigh", "hpp", "stable"))
     p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--box", type=float, nargs=2, metavar=("LO", "HI"))
     p.add_argument("--descent", action=argparse.BooleanOptionalAction,
                    default=True)

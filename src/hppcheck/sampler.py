@@ -4,10 +4,15 @@
 negative (on the positive orthant or on all of real space).  Floating
 point only screens candidates: every reported counterexample is an exact
 rational point whose difference re-evaluates exactly negative, so there
-are no false refutations.  `hpp_evidence` samples complex half-plane
-points and reports the minimum modulus seen; random sampling essentially
-never hits a complex zero, so it claims nothing unless an exact rational
-zero is found.
+are no false refutations.  Each pair's search is a scan of random points
+and then a cyclic coordinate descent (`_descend`) from the lowest of them:
+each step minimises the exact one-variable quadratic restriction on the
+box, steps only the variables the difference holds, forms that quadratic
+from the terms holding the variable alone, and the descent stops at an
+exact fixed point (a whole cycle that changes no bit).  `hpp_evidence`
+samples complex half-plane points and reports the minimum modulus seen;
+random sampling essentially never hits a complex zero, so it claims
+nothing unless an exact rational zero is found.
 """
 
 from __future__ import annotations
@@ -49,6 +54,8 @@ class SampleConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         lo, hi = self.bounds()
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"box bounds must be finite, got {lo} {hi}")
@@ -102,16 +109,13 @@ class _CompiledPoly:
         self.live = [(j, col, int(col.max()))
                      for j, col in enumerate(self.exps.T) if col.any()]
 
-    def monomials(self, points: np.ndarray, skip: int = -1) -> np.ndarray:
-        """points: (N, m) -> monomial values (N, T), leaving out variable
-        `skip`.  Each variable's powers come from one (N, degree + 1)
-        table filled by repeated multiplication and gathered by its
-        exponent column; the factors multiply in ascending variable order.
-        Real or complex points."""
+    def monomials(self, points: np.ndarray) -> np.ndarray:
+        """points: (N, m) -> monomial values (N, T).  Each variable's powers
+        come from one (N, degree + 1) table filled by repeated
+        multiplication and gathered by its exponent column; the factors
+        multiply in ascending variable order.  Real or complex points."""
         out = None
         for j, col, degree in self.live:
-            if j == skip:
-                continue
             x = points[:, j]
             table = np.empty((points.shape[0], degree + 1), dtype=points.dtype)
             table[:, 0] = 1
@@ -128,11 +132,14 @@ class _CompiledPoly:
         return out
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
-        """points: (N, m) -> values: (N,)"""
-        return self.monomials(points) @ self.coeffs
+        """points: (N, m) -> values: (N,).  A value past the float range
+        is inf or nan, without a warning: this is only a screen."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.monomials(points) @ self.coeffs
 
     def eval_one(self, point: np.ndarray) -> float:
-        return float((self.monomials(point[None, :]) @ self.coeffs)[0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float((self.monomials(point[None, :]) @ self.coeffs)[0])
 
 
 def _exact_candidate(delta: Polynomial, pair: tuple[int, int],
@@ -149,35 +156,83 @@ def _exact_candidate(delta: Polynomial, pair: tuple[int, int],
     return None
 
 
+def _line_min(a: np.ndarray, b: np.ndarray, lo: float,
+              hi: float) -> np.ndarray:
+    """Per row, where a*t*t + b*t is least on [lo, hi]: of lo, hi and the
+    vertex, in that order, the first minimum wins."""
+    f_lo = a * lo * lo + b * lo
+    f_hi = a * hi * hi + b * hi
+    hi_wins = f_hi < f_lo
+    best = np.where(hi_wins, hi, lo)
+    f_best = np.where(hi_wins, f_hi, f_lo)
+    v = -b / (2 * a)
+    f_v = a * v * v + b * v
+    vertex_wins = (a > 0) & (lo < v) & (v < hi) & (f_v < f_best)
+    return np.where(vertex_wins, v, best)
+
+
 def _descend(comp: _CompiledPoly, points: np.ndarray, lo: float, hi: float,
              steps: int) -> np.ndarray:
     """Cyclic coordinate descent from every start, (R, m) points, at once.
-    Each coordinate update solves the exact one-variable quadratic
-    restriction within the box: of lo, hi and the vertex, in that order,
-    the first minimum wins."""
+
+    Step `step` updates coordinate j = step % m to the minimiser of the
+    exact one-variable quadratic restriction a*y_j**2 + b*y_j within the
+    box (`_line_min`).  Each step computes only what it reads:
+
+    - a variable that the polynomial does not hold has a = b = 0, so its
+      step would write lo, and no step reads its column: such columns are
+      set to lo once (those with j < steps) and their steps skipped;
+    - a and b are row sums over the terms holding y_j; each term's product
+      over the other occurring variables is formed in ascending variable
+      order from a stacked power table (1, y, y**2, ...), and multiplying
+      by an exact 1.0 for a variable the term lacks changes no bit, so the
+      products are those of `monomials`;
+    - a step's new column depends only on the other columns, so once a
+      whole cycle of steps leaves every bit of every row unchanged, the
+      points are an exact fixed point and the descent stops.
+    """
+    live = [j for j, _, _ in comp.live]
+    plans = {}
+    for slot, (j, col, _) in enumerate(comp.live):
+        terms = np.flatnonzero((col == 1) | (col == 2))
+        rows = [r for r in range(len(live)) if r != slot]
+        exps = comp.exps[np.ix_(terms, [live[r] for r in rows])]
+        plans[j] = (slot, np.array(rows, dtype=np.intp)[:, None], exps.T,
+                    comp.coeffs[terms], np.flatnonzero(col[terms] == 2),
+                    np.flatnonzero(col[terms] == 1))
+    degree = max((d for _, _, d in comp.live), default=1)
     pts = np.array(points, dtype=float)
-    # per-variable split of terms by that variable's exponent
-    split = [(np.flatnonzero(col == 2), np.flatnonzero(col == 1))
-             for col in comp.exps.T]
-    for step in range(steps):
-        j = step % comp.m
-        quad, lin = split[j]
-        others = comp.monomials(pts, skip=j)
-        others *= comp.coeffs
-        # np.take keeps each row contiguous, so a row sums in the same
-        # order as a one-dimensional sum
-        a = np.take(others, quad, axis=1).sum(axis=1)
-        b = np.take(others, lin, axis=1).sum(axis=1)
-        f_lo = a * lo * lo + b * lo
-        f_hi = a * hi * hi + b * hi
-        hi_wins = f_hi < f_lo
-        best = np.where(hi_wins, hi, lo)
-        f_best = np.where(hi_wins, f_hi, f_lo)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            v = -b / (2 * a)
-            f_v = a * v * v + b * v
-        vertex_wins = (a > 0) & (lo < v) & (v < hi) & (f_v < f_best)
-        pts[:, j] = np.where(vertex_wins, v, best)
+    bits = pts.view(np.uint64)
+    pts[:, [j for j in range(min(comp.m, steps)) if j not in plans]] = lo
+    powers = np.empty((len(pts), len(live), degree + 1))
+    powers[:, :, 0] = 1
+    powers[:, :, 1] = pts[:, live]
+    quiet = 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(2, degree + 1):
+            powers[:, :, k] = powers[:, :, k - 1] * powers[:, :, 1]
+        for step in range(steps):
+            if quiet == len(plans):
+                break
+            j = step % comp.m
+            if j not in plans:
+                continue
+            slot, rows, exps, coeffs, quad, lin = plans[j]
+            others = np.multiply.reduce(powers[:, rows, exps], axis=1)
+            others *= coeffs
+            # np.take keeps each row contiguous, so a row sums in the same
+            # order as a one-dimensional sum
+            a = np.take(others, quad, axis=1).sum(axis=1)
+            b = np.take(others, lin, axis=1).sum(axis=1)
+            new = _line_min(a, b, lo, hi)
+            if np.array_equal(new.view(np.uint64), bits[:, j]):
+                quiet += 1
+                continue
+            quiet = 0
+            pts[:, j] = new
+            powers[:, slot, 1] = new
+            for k in range(2, degree + 1):
+                powers[:, slot, k] = powers[:, slot, k - 1] * new
     return pts
 
 

@@ -168,14 +168,15 @@ def _round_robin(n: int) -> list[list[tuple[int, int]]]:
 @functools.cache
 def _rotation_plan(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
     """Per round of `_round_robin(n)`, flat indices into an n x n matrix:
-    the diagonal entries (p, p) and (q, q), the entries (p, q), the four
-    entries of each rotation block, and the two entries zeroed after it.
-    The arrays are read-only because every caller shares them."""
+    a (3, pairs) array of the entries (p, p), (q, q) and (p, q) read
+    together, the four entries of each rotation block, and the two entries
+    zeroed after it.  The arrays are read-only because every caller shares
+    them."""
     plan = []
     for pairs in _round_robin(n):
         p, q = np.array(pairs, dtype=np.intp).T
         pp, qq, pq, qp = p * (n + 1), q * (n + 1), p * n + q, q * n + p
-        arrays = (pp, qq, pq, np.concatenate((pp, pq, qp, qq)),
+        arrays = (np.stack((pp, qq, pq)), np.concatenate((pp, pq, qp, qq)),
                   np.concatenate((pq, qp)))
         for a in arrays:
             a.flags.writeable = False
@@ -209,20 +210,24 @@ def jacobi_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             off = float(np.sqrt(((A - np.diag(np.diagonal(A))) ** 2).sum()))
             if off <= JACOBI_TOLERANCE * scale:
                 break
-            for pp, qq, pq, rot, zero in plan:
-                apq = A.take(pq)
-                live = np.abs(apq) > 1e-300
-                if not live.all():
+            for read, rot, zero in plan:
+                app, aqq, apq = A.take(read)
+                # each guard runs only in a round that needs it; written
+                # `not x > bound`, so that a nan takes it too
+                if not np.abs(apq).min() > 1e-300:
+                    live = np.abs(apq) > 1e-300
                     if not live.any():
                         continue
                     # skip the pairs whose A[p, q] is negligible
-                    pp, qq, apq = pp[live], qq[live], apq[live]
+                    app, aqq, apq = app[live], aqq[live], apq[live]
                     rot, zero = rot[np.tile(live, 4)], zero[np.tile(live, 2)]
-                tau = (A.take(qq) - A.take(pp)) / (2.0 * apq)
-                t = np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-                t[tau == 0.0] = 1.0
-                big = np.abs(tau) > 1e100
-                if big.any():
+                tau = (aqq - app) / (2.0 * apq)
+                abs_tau = np.abs(tau)
+                t = np.sign(tau) / (abs_tau + np.sqrt(1.0 + tau * tau))
+                if not abs_tau.min() > 0.0:
+                    t[tau == 0.0] = 1.0
+                if not abs_tau.max() <= 1e100:
+                    big = abs_tau > 1e100
                     t[big] = 1.0 / (2.0 * tau[big])
                 c = 1.0 / np.sqrt(1.0 + t * t)
                 s = t * c

@@ -494,6 +494,19 @@ class TestUsageAndHelp:
         assert err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
+        ["sample", "U_2_3", "--mode", "strong-rayleigh", "--seed", "-1"],
+        ["sample", "U_2_3", "--mode", "hpp", "--seed", "-1"],
+        ["check-hpp", "nP", "--refute", "--seed", "-1"],
+    ], ids=["strong_rayleigh", "hpp", "check_refute"])
+    def test_negative_seed_is_a_usage_error(self, capsys, argv):
+        # these once printed "seed: -1", then numpy's "expected
+        # non-negative integer" as a computation error, exit 4
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.endswith(f"hppcheck {argv[0]}: error: argument --seed: "
+                            "expected a non-negative integer, got '-1'\n")
+
+    @pytest.mark.parametrize("argv", [
         ["rdiff", "{poly}", "1", "2"], ["disc", "{poly}", "1", "2", "3"],
         ["sos-search", "{poly}"], ["sample", "{poly}", "--mode", "hpp"],
         ["verify-cert", "{cert}", "--target", "{poly}"],
@@ -632,6 +645,23 @@ def test_setup_loads_no_numpy():
 def test_exact_commands_run_without_numpy(argv, code):
     done = _python(_NUMPY_BLOCKED, *argv)
     assert done.returncode == code, done.stderr
+    assert done.stderr == ""
+
+
+_CLI = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from hppcheck.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def test_descent_on_a_vast_box_warns_nothing():
+    # a*hi*hi overflows a float on this box; the descent once printed
+    # "RuntimeWarning: overflow encountered in multiply"
+    done = _python(_CLI, "sample", "U_2_3", "--mode", "strong-rayleigh",
+                   "--trials", "10", "--box", "-1e200", "1e200")
+    assert done.returncode == 0
     assert done.stderr == ""
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -65,6 +66,54 @@ def _descend_reference(comp, point, lo, hi, steps):
     return pt
 
 
+def _descend_batched_reference(comp, points, lo, hi, steps):
+    """The batched descent before it skipped absent variables, restricted
+    each step to the terms holding y_j and stopped at a fixed point: every
+    step builds every monomial without y_j and takes the y_j**2 and y_j
+    columns."""
+    pts = np.array(points, dtype=float)
+    split = [(np.flatnonzero(col == 2), np.flatnonzero(col == 1))
+             for col in comp.exps.T]
+    for step in range(steps):
+        j = step % comp.m
+        quad, lin = split[j]
+        others = np.ones((len(pts), len(comp.coeffs)))
+        first = True
+        for k, col, degree in comp.live:
+            if k == j:
+                continue
+            table = np.empty((len(pts), degree + 1))
+            table[:, 0] = 1
+            table[:, 1] = pts[:, k]
+            for e in range(2, degree + 1):
+                table[:, e] = table[:, e - 1] * pts[:, k]
+            if first:
+                others = table[:, col]
+                first = False
+            else:
+                others *= table[:, col]
+        others *= comp.coeffs
+        a = np.take(others, quad, axis=1).sum(axis=1)
+        b = np.take(others, lin, axis=1).sum(axis=1)
+        f_lo = a * lo * lo + b * lo
+        f_hi = a * hi * hi + b * hi
+        hi_wins = f_hi < f_lo
+        best = np.where(hi_wins, hi, lo)
+        f_best = np.where(hi_wins, f_hi, f_lo)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            v = -b / (2 * a)
+            f_v = a * v * v + b * v
+        vertex_wins = (a > 0) & (lo < v) & (v < hi) & (f_v < f_best)
+        pts[:, j] = np.where(vertex_wins, v, best)
+    return pts
+
+
+def _descent_starts(m, lo, hi, seed):
+    """Seeded starts, then rows at the box's two corners and at 0."""
+    starts = np.random.default_rng(seed).uniform(lo, hi, size=(4, m))
+    return np.vstack([starts, np.full(m, lo), np.full(m, hi), np.zeros(m)])
+
+
 def _min_modulus_reference(Z, config):
     """The per-point loop that `hpp_evidence` replaced: the same draws,
     each point evaluated with `eval_complex`."""
@@ -125,9 +174,10 @@ class TestConfig:
         {"box": (-1e308, 1e308)},
         {"mode": HPP_EVIDENCE, "box": (0.0, 1e308)},
         {"mode": STABLE_EVIDENCE, "box": (1.0, 1.5e308)},
+        {"seed": -1},
     ], ids=["nan_lo", "inf_hi", "rayleigh_inf", "hpp_nan_hi", "lo_above_hi",
             "empty_box", "range_overflows", "hpp_range_overflows",
-            "stable_range_overflows"])
+            "stable_range_overflows", "negative_seed"])
     def test_rejects_bad_arguments(self, kwargs):
         with pytest.raises(ValueError):
             SampleConfig(**kwargs)
@@ -250,6 +300,73 @@ class TestBatchedDescent:
         for start, end in zip(starts, ends):
             alone = _descend(comp, start[None, :], -10.0, 10.0, 200)[0]
             assert np.array_equal(end, alone)
+
+
+class TestDescentMatchesBatchedReference:
+    """The descent's end points are those of the batched reference, bit for
+    bit: live variables only, per-variable term subsets and the exact
+    fixed-point stop change what a step computes, not what it writes."""
+
+    @pytest.mark.parametrize("name", ["U_2_3", "U_2_4", "F7m4", "nP"])
+    @pytest.mark.parametrize("box", [(-10.0, 10.0), (0.1, 10.0)],
+                             ids=["real", "positive"])
+    def test_every_pair_bit_for_bit(self, name, box):
+        Z = resolve_name(name).basis_polynomial()
+        lo, hi = box
+        for e, f in combinations(range(1, Z.m + 1), 2):
+            delta = rayleigh_diff_multiaffine(Z, e, f)
+            if delta.is_zero():
+                continue
+            comp = _CompiledPoly(delta)
+            starts = _descent_starts(Z.m, lo, hi, 100 * e + f)
+            ends = _descend(comp, starts, lo, hi, 500)
+            want = _descend_batched_reference(comp, starts, lo, hi, 500)
+            assert np.array_equal(ends.view(np.uint64),
+                                  want.view(np.uint64)), (e, f)
+
+    @pytest.mark.parametrize("steps", [2, 3, 500])
+    def test_absent_columns_end_at_lo(self, steps):
+        # Delta_34 of U_2_4 lacks y3 and y4: a column that the descent's
+        # steps reach (j < steps) ends at lo, and one they miss keeps its
+        # start
+        Z = uniform(2, 4).basis_polynomial()
+        comp = _CompiledPoly(rayleigh_diff_multiaffine(Z, 3, 4))
+        starts = _descent_starts(4, -10.0, 10.0, 7)
+        ends = _descend(comp, starts, -10.0, 10.0, steps)
+        reached = [j for j in (2, 3) if j < steps]
+        missed = [j for j in (2, 3) if j >= steps]
+        assert (ends[:, reached] == -10.0).all()
+        assert np.array_equal(ends[:, missed], starts[:, missed])
+        want = _descend_batched_reference(comp, starts, -10.0, 10.0, steps)
+        assert np.array_equal(ends.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("box", [(-10.0, 10.0), (0.1, 10.0)],
+                             ids=["real", "positive"])
+    def test_u23_stops_after_its_first_cycle(self, monkeypatch, box):
+        # every difference of U_2_3 is the square of the third variable:
+        # the first step moves that column to the minimiser, the next
+        # writes the same bits, and the descent ends there.  From 0.0 on
+        # the real box the minimiser is the vertex -0.0: a changed bit,
+        # though 0.0 == -0.0
+        counted = [0]
+        line_min = sampler._line_min
+
+        def counting(*args):
+            counted[0] += 1
+            return line_min(*args)
+
+        monkeypatch.setattr(sampler, "_line_min", counting)
+        Z = uniform(2, 3).basis_polynomial()
+        lo, hi = box
+        for e, f in combinations(range(1, 4), 2):
+            comp = _CompiledPoly(rayleigh_diff_multiaffine(Z, e, f))
+            for starts in (_descent_starts(3, lo, hi, e + f), np.zeros((2, 3))):
+                counted[0] = 0
+                ends = _descend(comp, starts, lo, hi, 500)
+                assert counted[0] == 2
+                want = _descend_batched_reference(comp, starts, lo, hi, 500)
+                assert np.array_equal(ends.view(np.uint64),
+                                      want.view(np.uint64))
 
 
 class TestHomogeneity:
