@@ -3,9 +3,9 @@
 Each named entry carries a literature-style construction (a natural
 labeling of the structure) plus a pinning permutation taking it to the
 labeling used by the shipped certificates.  The pins were found by
-`matroid.find_labeling` against the certificate targets and are
-re-derived by the test suite; entries without a certificate keep their
-construction labeling.
+`find_labeling` against the certificate targets and are re-derived by
+the test suite; entries without a certificate keep their construction
+labeling.
 
 Uniform matroids are available under names like ``U_2_4`` and are built
 on demand, up to MAX_VALIDATED_BASES bases.
@@ -14,10 +14,12 @@ on demand, up to MAX_VALIDATED_BASES bases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations, product
 from math import comb
 
 from hppcheck.matroid import MAX_VALIDATED_BASES, IsoTable, Matroid
+from hppcheck.polynomial import Polynomial
+from hppcheck.rayleigh import rayleigh_diff_multiaffine
 
 
 def uniform(rank: int, m: int, name: str | None = None) -> Matroid:
@@ -133,6 +135,55 @@ def literature_definition(name: str) -> Matroid:
 
 def pin_permutation(name: str) -> tuple[int, ...]:
     return _PINS[name]
+
+
+def _signature_classes(p: Polynomial,
+                       pair: tuple[int, int]) -> dict[tuple, list[int]]:
+    """The variables of p outside `pair`, grouped by a relabeling-invariant
+    signature: the sorted (exponent, coefficient, degree, sorted exponents)
+    of the terms that hold the variable."""
+    classes: dict[tuple, list[int]] = {}
+    for v in range(1, p.m + 1):
+        if v not in pair:
+            sig = tuple(sorted((exps[v - 1], c, sum(exps), tuple(sorted(exps)))
+                               for exps, c in p.terms.items() if exps[v - 1]))
+            classes.setdefault(sig, []).append(v)
+    return classes
+
+
+def find_labeling(M: Matroid, pair: tuple[int, int],
+                  target_delta: Polynomial) -> tuple[int, ...] | None:
+    """The least relabeling perm of M (element i maps to perm[i-1]) whose
+    Rayleigh difference at `pair` is target_delta exactly, or None.
+
+    Each pair {a, b} of M whose difference has the target's signature class
+    sizes outside the pair maps onto `pair` both ways round, and each class
+    onto the target's class of the same signature in every order.
+    """
+    e, f = pair
+    if e == f:
+        raise ValueError("pair must consist of two distinct indices")
+    if target_delta.m != M.m:
+        return None
+    Z = M.basis_polynomial()
+    slots = _signature_classes(target_delta, pair)
+    sizes = {sig: len(vs) for sig, vs in slots.items()}
+    found = []
+    for a, b in combinations(range(1, M.m + 1), 2):
+        classes = _signature_classes(rayleigh_diff_multiaffine(Z, a, b), (a, b))
+        if {sig: len(vs) for sig, vs in classes.items()} != sizes:
+            continue
+        for images in product(*(permutations(slots[sig]) for sig in classes)):
+            perm = [0] * M.m
+            for vs, image in zip(classes.values(), images):
+                for v, w in zip(vs, image):
+                    perm[v - 1] = w
+            for pa, pb in (pair, (f, e)):
+                perm[a - 1], perm[b - 1] = pa, pb
+                Zp = M.relabeled(perm).basis_polynomial()
+                if rayleigh_diff_multiaffine(Zp, e, f) == target_delta:
+                    found.append(tuple(perm))
+    return min(found, default=None)
 
 
 _cache: dict[str, CatalogEntry] = {}

@@ -289,20 +289,24 @@ def _cmd_sample(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(f"seed: {args.seed}")
+    run = sampler_mod.falsify if pairwise else sampler_mod.hpp_evidence
+    try:
+        result = run(Z, config)
+    except OverflowError:
+        raise UsageError("a coefficient of the polynomial or of a pair "
+                         "difference is beyond float range") from None
     if pairwise:
-        counter = sampler_mod.falsify(Z, config)
-        if counter is None:
+        if result is None:
             print("no counterexample found")
             return EXIT_OK
-        pt = ", ".join(str(x) for x in counter.point)
-        print(f"counterexample: pair {counter.pair} at ({pt})")
-        print(f"exact value: {counter.value}")
+        pt = ", ".join(str(x) for x in result.point)
+        print(f"counterexample: pair {result.pair} at ({pt})")
+        print(f"exact value: {result.value}")
         return EXIT_FAIL
-    report = sampler_mod.hpp_evidence(Z, config)
-    print(f"min |Z| over {report.trials} sampled points: {report.min_modulus:.6g}")
+    print(f"min |Z| over {result.trials} sampled points: {result.min_modulus:.6g}")
     print("at point: " + ", ".join(f"{z.real:.4g}{z.imag:+.4g}j"
-                                   for z in report.point))
-    if report.exact_zero is not None:
+                                   for z in result.point))
+    if result.exact_zero is not None:
         print("exact zero found (falsification)")
         return EXIT_FAIL
     print("heuristic evidence only; no claim")

@@ -10,9 +10,8 @@ than silently adjusting rank.
 Also provides isomorphism testing (lexicographically least permutation),
 an isomorphism lookup table (`IsoTable`) that buckets matroids on a cheap
 invariant (`Matroid.canonical_key`) and confirms each match with
-`is_isomorphic`, the basis-generating polynomial, the labeling search that
-matches a matroid against a target Rayleigh difference, and a structured
-text (JSON) file format.
+`is_isomorphic`, the basis-generating polynomial, and a structured text
+(JSON) file format.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from math import comb
 from typing import Any, Iterable, Iterator, Sequence
 
 from hppcheck.polynomial import Polynomial, mask_key
-from hppcheck.rayleigh import rayleigh_diff_multiaffine
 
 # basis exchange is checked in time quadratic in the bases (about 1 s at
 # this many); every catalog matroid has at most 126
@@ -412,102 +410,6 @@ class IsoTable:
                 yield value, perm
 
 
-# -- labeling search -------------------------------------------------------
-
-def _variable_signature(p: Polynomial, v: int) -> tuple:
-    """Relabeling-invariant signature of variable v inside p."""
-    entries = []
-    i = v - 1
-    for exps, coeff in p.terms.items():
-        if exps[i]:
-            entries.append((exps[i], coeff, sum(exps), tuple(sorted(exps))))
-    return tuple(sorted(entries))
-
-
-def find_labeling(M: Matroid, pair: tuple[int, int],
-                  target_delta: Polynomial) -> tuple[int, ...] | None:
-    """Search for a relabeling of M whose Rayleigh difference at `pair`
-    equals target_delta exactly.
-
-    Returns a ground-set permutation (element i of M maps to perm[i-1]) or
-    None.  The search tries unordered element pairs of M as preimages of
-    `pair`, prunes with relabeling-invariant statistics, then matches the
-    remaining variables by signature classes; every candidate is verified
-    by exact polynomial comparison before being returned.
-    """
-    e0, f0 = pair
-    if e0 == f0:
-        raise ValueError("pair must consist of two distinct indices")
-    if target_delta.m != M.m:
-        return None
-    Z = M.basis_polynomial()
-    m = M.m
-    tgt_nterms = target_delta.num_terms()
-    tgt_deg = target_delta.total_degree()
-    tgt_coeffs = sorted(target_delta.terms.values())
-    tgt_eval = target_delta.eval_rational([1] * m)
-    others_t = [v for v in range(1, m + 1) if v not in (e0, f0)]
-    sig_t = {v: _variable_signature(target_delta, v) for v in others_t}
-
-    candidates: list[tuple[int, ...]] = []
-    for a, b in combinations(range(1, m + 1), 2):
-        delta = rayleigh_diff_multiaffine(Z, a, b)
-        if delta.num_terms() != tgt_nterms or delta.total_degree() != tgt_deg:
-            continue
-        if sorted(delta.terms.values()) != tgt_coeffs:
-            continue
-        if delta.eval_rational([1] * m) != tgt_eval:
-            continue
-        others_s = [v for v in range(1, m + 1) if v not in (a, b)]
-        sig_s = {v: _variable_signature(delta, v) for v in others_s}
-        # group target slots by signature
-        slots: dict[tuple, list[int]] = {}
-        for v in others_t:
-            slots.setdefault(sig_t[v], []).append(v)
-        pools = {sig: sorted(vs) for sig, vs in slots.items()}
-        ok_shape = True
-        from collections import Counter
-        if Counter(sig_s.values()) != Counter(sig_t.values()):
-            ok_shape = False
-        if not ok_shape:
-            continue
-
-        source = sorted(others_s)
-
-        def assign(idx: int, mapping: dict[int, int], used: set[int]) -> None:
-            if idx == len(source):
-                for pa, pb in ((e0, f0), (f0, e0)):
-                    perm = [0] * m
-                    perm[a - 1] = pa
-                    perm[b - 1] = pb
-                    for src, dst in mapping.items():
-                        perm[src - 1] = dst
-                    if delta.permuted(perm) == target_delta:
-                        candidates.append(tuple(perm))
-                return
-            v = source[idx]
-            for w in pools[sig_s[v]]:
-                if w in used:
-                    continue
-                mapping[v] = w
-                used.add(w)
-                assign(idx + 1, mapping, used)
-                used.discard(w)
-                del mapping[v]
-
-        assign(0, {}, set())
-
-    if not candidates:
-        return None
-    best = min(candidates)
-    # independent re-verification on the matroid side
-    relabeled = M.relabeled(best)
-    check = rayleigh_diff_multiaffine(relabeled.basis_polynomial(), e0, f0)
-    if check != target_delta:
-        raise RuntimeError("internal error: labeling candidate failed re-verification")
-    return best
-
-
 # -- file format -------------------------------------------------------------
 
 def matroid_to_text(M: Matroid) -> str:
@@ -546,9 +448,11 @@ def matroid_from_text(text: str) -> Matroid:
                                 "be integers")
     if name is not None and not isinstance(name, str):
         raise MatroidParseError("invalid matroid file: 'name' must be a string")
-    key = next((k for k in ("bases", "nonbases") if k in payload), None)
-    if key is None:
-        raise MatroidParseError("matroid file needs either 'bases' or 'nonbases'")
+    keys = [k for k in ("bases", "nonbases") if k in payload]
+    if len(keys) != 1:
+        raise MatroidParseError("invalid matroid file: needs exactly one of "
+                                "'bases' and 'nonbases'")
+    key = keys[0]
     subsets = payload[key]
     if not (isinstance(subsets, list)
             and all(isinstance(s, list) and all(type(e) is int for e in s)

@@ -20,8 +20,8 @@ Each polynomial carries a bound on its largest exponent for that check.
 Outside the class a monomial is an exponent tuple (a1, ..., am): the
 constructor takes a map from tuples to coefficients, and `terms` is the
 same kind of map, built from the keys on first read and cached.
-`coefficient`, `sorted_terms`, `permuted` and the text format read that
-view; the ring operations, minors, shape predicates, `eval_rational` and
+`coefficient`, `sorted_terms` and the text format read that view; the
+ring operations, minors, shape predicates, `eval_rational` and
 `weighted_square_sum` read only the keys.
 
 Canonical term order is graded lexicographic: higher total degree first,
@@ -126,8 +126,8 @@ class Polynomial:
         every key packs m exponents, no coefficient is zero, integral ones
         are int, and no exponent exceeds top <= MAX_EXPONENT.  The dict is
         taken over, not copied, and never changed afterwards.  Only the
-        ring operations, minors and relabelings below,
-        `weighted_square_sum` and `Matroid.basis_polynomial` call this;
+        ring operations, minors and padding below, `weighted_square_sum`
+        and `Matroid.basis_polynomial` call this;
         input from outside goes through __init__."""
         p = object.__new__(cls)
         p.m = m
@@ -338,23 +338,6 @@ class Polynomial:
         for k in self._keys:
             used |= k
         return {i + 1 for i, a in enumerate(used.to_bytes(self.m, "little")) if a}
-
-    # -- relabeling -------------------------------------------------------
-
-    def permuted(self, perm: Sequence[int]) -> Polynomial:
-        """Relabel variables: old index i maps to perm[i-1].
-
-        perm must be a permutation of 1..m.
-        """
-        if sorted(perm) != list(range(1, self.m + 1)):
-            raise ValueError("perm is not a permutation of the ground set")
-        out: dict[int, Coefficient] = {}
-        for exps, c in self.terms.items():
-            new = bytearray(self.m)
-            for i, a in enumerate(exps):
-                new[perm[i] - 1] = a
-            out[int.from_bytes(new, "little")] = c
-        return Polynomial._trusted(self.m, out, self._top)
 
     def padded(self, new_m: int) -> Polynomial:
         """Extend the ground set to new_m >= m; new variables are absent."""

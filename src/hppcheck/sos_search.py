@@ -110,6 +110,11 @@ def build_problem(target: Polynomial) -> GramProblem:
         raise UnsuitableTargetError(f"target degree {deg} is odd")
     if any(e > 2 for exps in target.terms for e in exps):
         raise UnsuitableTargetError("target has a variable of degree > 2")
+    try:
+        [float(coeff) for coeff in target.terms.values()]
+    except OverflowError:
+        raise UnsuitableTargetError("a target coefficient is beyond float "
+                                    "range") from None
     d = deg // 2
     for exps, coeff in target.terms.items():
         if all(e % 2 == 0 for e in exps) and coeff < 0:

@@ -1,12 +1,16 @@
+import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from hppcheck.catalog import (catalog, catalog_index, entry,
+from hppcheck.catalog import (CATALOG_NAMES, CERT_PAIRS, catalog,
+                              catalog_index, entry, find_labeling,
                               literature_definition, pin_permutation,
                               resolve_name, uniform)
 from hppcheck.certificate import shipped_store
 from hppcheck.matroid import Matroid
+from hppcheck.rayleigh import rayleigh_diff_multiaffine
 
 
 def is_basis(M, subset):
@@ -119,3 +123,130 @@ def test_np_lines_are_the_eight_dependent_triples():
     assert len(nonbases) == 8
     # the relaxed conclusion line {7,8,9} must be a basis
     assert is_basis(nP, (7, 8, 9))
+
+
+# -- the labeling search against an independent reference -----------------------
+
+def _permute(terms, perm):
+    """Term dict with variable i renamed perm[i-1]."""
+    out = {}
+    for exps, c in terms.items():
+        new = [0] * len(exps)
+        for i, a in enumerate(exps):
+            new[perm[i] - 1] = a
+        out[tuple(new)] = c
+    return out
+
+
+def _signature(p, v):
+    entries = []
+    i = v - 1
+    for exps, coeff in p.terms.items():
+        if exps[i]:
+            entries.append((exps[i], coeff, sum(exps), tuple(sorted(exps))))
+    return tuple(sorted(entries))
+
+
+def reference_find_labeling(M, pair, target_delta):
+    """The earlier search: prune pairs by term count, degree, coefficients
+    and the value at ones, then backtrack over signature classes and
+    compare each candidate on the difference side."""
+    e0, f0 = pair
+    if target_delta.m != M.m:
+        return None
+    Z = M.basis_polynomial()
+    m = M.m
+    tgt_nterms = target_delta.num_terms()
+    tgt_deg = target_delta.total_degree()
+    tgt_coeffs = sorted(target_delta.terms.values())
+    tgt_eval = target_delta.eval_rational([1] * m)
+    others_t = [v for v in range(1, m + 1) if v not in (e0, f0)]
+    sig_t = {v: _signature(target_delta, v) for v in others_t}
+    candidates = []
+    for a, b in combinations(range(1, m + 1), 2):
+        delta = rayleigh_diff_multiaffine(Z, a, b)
+        if delta.num_terms() != tgt_nterms or delta.total_degree() != tgt_deg:
+            continue
+        if sorted(delta.terms.values()) != tgt_coeffs:
+            continue
+        if delta.eval_rational([1] * m) != tgt_eval:
+            continue
+        others_s = [v for v in range(1, m + 1) if v not in (a, b)]
+        sig_s = {v: _signature(delta, v) for v in others_s}
+        pools = {}
+        for v in others_t:
+            pools.setdefault(sig_t[v], []).append(v)
+        if Counter(sig_s.values()) != Counter(sig_t.values()):
+            continue
+        source = sorted(others_s)
+
+        def assign(idx, mapping, used):
+            if idx == len(source):
+                for pa, pb in ((e0, f0), (f0, e0)):
+                    perm = [0] * m
+                    perm[a - 1] = pa
+                    perm[b - 1] = pb
+                    for src, dst in mapping.items():
+                        perm[src - 1] = dst
+                    if _permute(delta.terms, perm) == target_delta.terms:
+                        candidates.append(tuple(perm))
+                return
+            v = source[idx]
+            for w in pools[sig_s[v]]:
+                if w not in used:
+                    mapping[v] = w
+                    used.add(w)
+                    assign(idx + 1, mapping, used)
+                    used.discard(w)
+                    del mapping[v]
+
+        assign(0, {}, set())
+    return min(candidates, default=None)
+
+
+def _cert_target(name):
+    M = entry(name).matroid
+    return rayleigh_diff_multiaffine(M.basis_polynomial(), *CERT_PAIRS[name])
+
+
+def _labeling_cases():
+    # the seven certificate targets against their literature constructions
+    for name in CERT_PAIRS:
+        yield literature_definition(name), CERT_PAIRS[name], _cert_target(name)
+    # three seeded relabelings of every entry, each at a seeded pair of
+    # elements that are not loops, in either order
+    rng = random.Random(2104)
+    for name in CATALOG_NAMES:
+        M = entry(name).matroid
+        live = [e for e in range(1, M.m + 1) if e not in M.loops()]
+        for _ in range(3):
+            pair = tuple(rng.sample(live, 2))
+            target = rayleigh_diff_multiaffine(M.basis_polynomial(), *pair)
+            perm = list(range(1, M.m + 1))
+            rng.shuffle(perm)
+            yield M.relabeled(perm), pair, target
+    # targets of a neighbouring matroid that is not isomorphic
+    for target_name, name in (("W3p", "W3pe"), ("F7m4", "F7m5"),
+                              ("P7p", "P7pp")):
+        yield entry(name).matroid, (1, 2), _cert_target(target_name)
+
+
+def test_find_labeling_matches_reference():
+    results = []
+    for M, pair, target in _labeling_cases():
+        perm = find_labeling(M, pair, target)
+        assert perm == reference_find_labeling(M, pair, target)
+        if perm is not None:
+            Z = M.relabeled(perm).basis_polynomial()
+            assert rayleigh_diff_multiaffine(Z, *pair) == target
+        results.append(perm)
+    assert len(results) == 7 + 3 * len(CATALOG_NAMES) + 3
+    assert results[-3:] == [None] * 3
+    assert None not in results[:-3]
+
+
+def test_find_labeling_rejects_a_repeated_pair():
+    M = uniform(2, 4)
+    target = rayleigh_diff_multiaffine(M.basis_polynomial(), 1, 2)
+    with pytest.raises(ValueError):
+        find_labeling(M, (3, 3), target)

@@ -378,6 +378,17 @@ class TestUsageAndHelp:
         assert err.startswith("error: invalid matroid file:")
         assert "more than the 1000" in err and err.count("\n") == 1
 
+    def test_bases_and_nonbases_together_is_a_parse_error(self, capsys,
+                                                          tmp_path):
+        # once read with exit 0, using `bases` and ignoring `nonbases`
+        path = tmp_path / "both.json"
+        path.write_text('{"m": 4, "rank": 2, "bases": [[1, 2], [1, 3]], '
+                        '"nonbases": [[1, 2]]}')
+        code, out, err = run(capsys, "bases", str(path))
+        assert code == 3 and out == ""
+        assert err == ("error: invalid matroid file: needs exactly one of "
+                       "'bases' and 'nonbases'\n")
+
     @pytest.mark.parametrize("text", [
         '{"m": 3, "rank": 1, "bases": [["a"]]}',           # not an integer
         '{"m": 3, "rank": 1, "bases": [[4]]}',             # outside 1..m
@@ -506,6 +517,27 @@ class TestUsageAndHelp:
         assert err.endswith(f"hppcheck {argv[0]}: error: argument --seed: "
                             "expected a non-negative integer, got '-1'\n")
 
+    @pytest.mark.parametrize("text,argv", [
+        (f"{10**400}*y1*y2 + y3*y4", ["sample", "--mode", "strong-rayleigh"]),
+        (f"{10**400}*y1*y2 + y3*y4", ["sample", "--mode", "hpp"]),
+        # these coefficients fit a float, but the difference at (2, 3)
+        # holds 10^400
+        (f"{10**200}*y1*y2 + {10**200}*y1*y3 + y2*y3",
+         ["sample", "--mode", "strong-rayleigh"]),
+        (f"{10**400}*y1*y1 + y2*y2", ["sos-search"]),
+    ], ids=["strong_rayleigh", "hpp", "pair_difference", "sos_search"])
+    def test_coefficient_beyond_float_range_is_a_usage_error(self, capsys,
+                                                             tmp_path, text,
+                                                             argv):
+        # these once exited 4 with an internal OverflowError
+        path = tmp_path / "vast.poly"
+        path.write_text(text + "\n")
+        command, *rest = argv
+        code, _, err = run(capsys, command, str(path), *rest)
+        assert code == 3
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "internal error" not in err and "float range" in err
+
     @pytest.mark.parametrize("argv", [
         ["rdiff", "{poly}", "1", "2"], ["disc", "{poly}", "1", "2", "3"],
         ["sos-search", "{poly}"], ["sample", "{poly}", "--mode", "hpp"],
@@ -601,6 +633,21 @@ def test_only_float_layers_import_numpy_at_module_level():
                                        and parts[1] in FLOAT_LAYERS):
                 found.append(f"{path.name}: {name}")
     assert not found
+
+
+def test_matroid_imports_no_hppcheck_module_but_polynomial():
+    # every import, also inside a function body: the matroid layer stays
+    # below the Rayleigh differences and the catalog
+    tree = ast.parse((SRC / "hppcheck" / "matroid.py").read_text())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert not node.level, "relative import in matroid.py"
+            modules.add(node.module)
+    assert {m for m in modules if m.split(".")[0] == "hppcheck"} == {
+        "hppcheck.polynomial"}
 
 
 _NUMPY_BLOCKED = """

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hppcheck.catalog import CATALOG_NAMES, catalog, entry, uniform
+from hppcheck.catalog import (CATALOG_NAMES, catalog, entry, find_labeling,
+                              uniform)
 from hppcheck.matroid import (BasisExchangeError, DegenerateMinorError,
-                              Matroid, MatroidParseError, find_labeling,
-                              matroid_from_text, matroid_to_text)
+                              Matroid, MatroidParseError, matroid_from_text,
+                              matroid_to_text)
 from hppcheck.polynomial import parse_polynomial
 from hppcheck.rayleigh import rayleigh_diff_multiaffine
 
@@ -303,3 +304,10 @@ class TestFileFormat:
             matroid_from_text('{"m": 3, "rank": 2}')
         with pytest.raises(MatroidParseError):
             matroid_from_text('[1, 2]')
+
+    def test_bases_and_nonbases_together_rejected(self):
+        # once read with exit 0, using `bases` and ignoring `nonbases`
+        text = ('{"m": 4, "rank": 2, "bases": [[1, 2], [1, 3]], '
+                '"nonbases": [[1, 2]]}')
+        with pytest.raises(MatroidParseError, match="exactly one of"):
+            matroid_from_text(text)

@@ -183,10 +183,6 @@ class TestTextFormat:
 
 
 class TestRelabeling:
-    def test_permuted(self):
-        p = P("y1*y2 + y3", 3)
-        assert p.permuted([3, 1, 2]) == P("y3*y1 + y2", 3)
-
     def test_padded(self):
         p = P("y1", 1).padded(3)
         assert p == P("y1", 3)
@@ -225,12 +221,10 @@ class TestCleanCore:
         assert (p * q).eval_rational(x) == p.eval_rational(x) * q.eval_rational(x)
         assert p.scalar_mul(c).eval_rational(x) == c * p.eval_rational(x)
 
-    @given(polynomials, st.integers(1, M), st.permutations(range(1, M + 1)))
-    def test_minors_and_relabeling(self, p, e, perm):
-        for r in (p.contract(e), p.delete(e), p.permuted(perm), p.padded(M + 2)):
+    @given(polynomials, st.integers(1, M))
+    def test_minors_and_relabeling(self, p, e):
+        for r in (p.contract(e), p.delete(e), p.padded(M + 2)):
             assert_clean(r)
-        assert p.permuted(perm).permuted(
-            [perm.index(v) + 1 for v in range(1, M + 1)]) == p
 
     def test_integral_fraction_is_int(self):
         e = (1, 0, 2)
@@ -355,22 +349,13 @@ class TestPackedKeys:
             assert_matches(p * q - q * p, {})
             assert_matches((p + q) * (p - q) - (p * p - q * q), {})
 
-    @given(polynomial_pairs(), st.randoms(use_true_random=False))
-    def test_minors_and_relabeling_match_reference(self, pair, rng):
+    @given(polynomial_pairs())
+    def test_minors_and_relabeling_match_reference(self, pair):
         p, q = pair
         s = p.terms
         for e in range(1, p.m + 1):
             assert_matches(p.contract(e), ref_contract(s, e))
             assert_matches(p.delete(e), ref_delete(s, e))
-        perm = list(range(1, p.m + 1))
-        rng.shuffle(perm)
-        moved = {}
-        for exps, c in s.items():
-            new = [0] * p.m
-            for i, e in enumerate(exps):
-                new[perm[i] - 1] = e
-            moved[tuple(new)] = c
-        assert_matches(p.permuted(perm), moved)
         assert_matches(p.padded(p.m + 2), {exps + (0, 0): c for exps, c in s.items()})
         assert (p == q) == (s == q.terms)
         assert (p == p.padded(p.m + 1)) is False
