@@ -288,13 +288,13 @@ def _cmd_sample(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(f"seed: {args.seed}")
     run = sampler_mod.falsify if pairwise else sampler_mod.hpp_evidence
     try:
         result = run(Z, config)
     except OverflowError:
         raise UsageError("a coefficient of the polynomial or of a pair "
                          "difference is beyond float range") from None
+    print(f"seed: {args.seed}")
     if pairwise:
         if result is None:
             print("no counterexample found")

@@ -1,11 +1,14 @@
 """Numerical search for sum-of-squares certificates, exactly re-verified.
 
 Pipeline: build a Gram-matrix problem over a multiaffine monomial basis,
-run one pass of alternating projections between the coefficient-matching
-affine subspace and the PSD cone (round-robin (Brent–Luk) Jacobi
-rotations, warm-started, written here, not a library call) to the first
-iterate within TOLERANCE of the cone, then rationalize on a face.  The
-pass gives up at a stall; no step is random, so runs are reproducible.
+run one pass of extrapolated alternating projections between the
+coefficient-matching affine subspace and the PSD cone (Bauschke, Combettes
+& Kruk 2006; round-robin (Brent–Luk) Jacobi rotations, warm-started,
+written here, not a library call) to the first iterate within TOLERANCE
+of the cone, then rationalize on a face.  Each step goes up to
+EXTRAPOLATION_CAP (2) times the plain one: above 2, V8's search loses its
+near-null eigenvector face.  The pass gives up at a stall; no step is
+random, so runs are reproducible.
 
 There is one rationalization path, `rationalize_and_verify`: restrict the
 float Gram matrix to a face {B^T H B} of the PSD cone, round H once (to
@@ -49,6 +52,9 @@ DENOMINATOR_BOUND = 1 << 16
 TOLERANCE = 5e-4
 MAX_ITERATIONS = 50_000
 STALL_ITERATIONS = 200
+# the longest extrapolated step, as a multiple of the plain one; at 2.5, 3
+# or uncapped, V8's search loses its near-null eigenvector face
+EXTRAPOLATION_CAP = 2.0
 JACOBI_TOLERANCE = 1e-13       # relative off-diagonal norm at convergence
 JACOBI_MAX_SWEEPS = 100
 ZERO_BOX = 2                   # zeros are sought in [-ZERO_BOX, ZERO_BOX]
@@ -254,14 +260,42 @@ def _project_affine(G: np.ndarray, problem: GramProblem) -> np.ndarray:
     return out
 
 
+def _extrapolated_step(G: np.ndarray, vals: np.ndarray, Q: np.ndarray,
+                       problem: GramProblem) -> tuple[np.ndarray, float]:
+    """One extrapolated alternating-projection step from the affine-feasible
+    G, whose eigendecomposition is (vals, Q); returns (G', lambda).
+
+    P is the PSD projection of G and Y = `_project_affine`(P).  The step is
+    G' = G + lambda (Y - G) with lambda = min(EXTRAPOLATION_CAP, ratio) and
+    ratio = |G - P|_F^2 / |G - Y|_F^2 (Bauschke, Combettes & Kruk 2006).
+    G and Y are both affine-feasible, so G' is too.  By Pythagoras the
+    ratio is at least 1 (the plain step Y), and any lambda in [1, ratio]
+    moves G' no farther from any feasible PSD Gram matrix; the max below
+    keeps rounding from taking lambda under 1.
+    """
+    P = (Q * np.maximum(vals, 0.0)) @ Q.T            # the PSD projection
+    P = (P + P.T) / 2.0
+    Y = _project_affine(P, problem)
+    step = Y - G
+    step_sq = float(np.vdot(step, step))
+    if step_sq == 0.0:
+        return Y, 1.0
+    ratio = float(np.vdot(G - P, G - P)) / step_sq
+    lam = min(EXTRAPOLATION_CAP, max(1.0, ratio))
+    return G + lam * step, lam
+
+
 def search(problem: GramProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Alternating projections onto {A(G) = coeffs} and the PSD cone.
+    """One pass of extrapolated alternating projections onto {A(G) = coeffs}
+    and the PSD cone (Bauschke, Combettes & Kruk 2006).
 
     Returns the first affine-feasible iterate G whose minimum eigenvalue
     exceeds -TOLERANCE, with its eigendecomposition (vals, Q), or None at
-    a stall or after MAX_ITERATIONS.  No step is random.  Each
-    decomposition is warm-started from the previous iterate's eigenbasis
-    (the identity on the first iteration).
+    a stall or after MAX_ITERATIONS.  Each step, `_extrapolated_step`,
+    goes up to EXTRAPOLATION_CAP (2) times as far as the plain step; above
+    2, V8's search loses its near-null eigenvector face.  No step is
+    random.  Each decomposition is warm-started from the previous
+    iterate's eigenbasis (the identity on the first iteration).
     """
     n = problem.size
     G = _project_affine(np.zeros((n, n)), problem)
@@ -285,8 +319,7 @@ def search(problem: GramProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray] | 
             stall += 1
             if stall >= STALL_ITERATIONS:
                 return None
-        P = (Q * np.maximum(vals, 0.0)) @ Q.T        # the PSD projection
-        G = _project_affine((P + P.T) / 2.0, problem)
+        G, _ = _extrapolated_step(G, vals, Q, problem)
     return None
 
 

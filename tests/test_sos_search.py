@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hppcheck import sos_search
 from hppcheck.catalog import entry, resolve_name, uniform
@@ -15,7 +17,8 @@ from hppcheck.matroid import Matroid
 from hppcheck.polynomial import Polynomial, parse_polynomial
 from hppcheck.rayleigh import rayleigh_diff_multiaffine
 from hppcheck.sos_search import (GramProblemError, UnsuitableTargetError,
-                                 _affine_projection, _integer_zero_kernel,
+                                 _affine_projection, _extrapolated_step,
+                                 _integer_zero_kernel,
                                  _nullspace, _project_affine,
                                  _round_robin, _rref,
                                  build_problem, jacobi_eigh, ldlt_psd,
@@ -137,6 +140,39 @@ class TestSearch:
         prob = build_problem(rayleigh_diff_multiaffine(Z, 1, 2))
         assert search(prob) is None
         assert calls[0] <= sos_search.STALL_ITERATIONS + 1
+
+    @given(st.data())
+    def test_extrapolated_step_is_fejer_monotone(self, data):
+        # a target v^T G* v over products of two of y1..y4, with G* = L L^T
+        # for a random integer lower triangular L of nonzero diagonal, so
+        # positive definite and often close to singular: G* is
+        # affine-feasible and PSD, so no step may move the iterate farther
+        # from it
+        pairs = data.draw(st.lists(st.sampled_from(
+            list(combinations(range(1, 5), 2))), min_size=1, max_size=6,
+            unique=True).map(sorted))
+        n = len(pairs)
+        L = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=n * n,
+                                        max_size=n * n))).reshape(n, n)
+        L = np.tril(L, -1) + np.diag(data.draw(st.lists(
+            st.integers(1, 3), min_size=n, max_size=n)))
+        star = L @ L.T
+        terms = {}
+        for i, a in enumerate(pairs):
+            for j, b in enumerate(pairs):
+                prod = tuple(x + y for x, y in zip(mono(a, 4), mono(b, 4)))
+                terms[prod] = terms.get(prod, 0) + int(star[i, j])
+        prob = build_problem(Polynomial(4, terms))
+        assert prob.basis == [mono(b, 4) for b in pairs]
+        G = _project_affine(np.zeros((n, n)), prob)
+        dist = np.linalg.norm(G - star)
+        for _ in range(30):
+            vals, Q = jacobi_eigh(G)
+            G, lam = _extrapolated_step(G, vals, Q, prob)
+            assert 1.0 <= lam <= sos_search.EXTRAPOLATION_CAP == 2.0
+            new = np.linalg.norm(G - star)
+            assert new <= dist + 1e-9
+            dist = new
 
 
 def _project_affine_loop(G, problem):
@@ -551,10 +587,15 @@ class TestEndToEnd:
     # eigenvector face (3).
     FACE = {"F7m4": 1, "W3p": 2, "W3pe": 2, "P7p": 2, "nP_d1": 2,
             "nP_d9": 2, "V8": 3}
+    # each target's iterations under the plain step G <- Y; the extrapolated
+    # step takes at most 55 % of them
+    PLAIN_ITERATIONS = {"F7m4": 1, "W3p": 82, "W3pe": 5_021, "P7p": 311,
+                        "nP_d1": 1_965, "nP_d9": 351, "V8": 1_781}
 
     @pytest.mark.parametrize("name", SHIPPED)
     def test_rederives_shipped_targets(self, name, monkeypatch):
         face = self.FACE[name]
+        calls = count_jacobi(monkeypatch)
         attempts = []
 
         def counted(*args):
@@ -567,6 +608,7 @@ class TestEndToEnd:
         assert cert is not None
         assert verify(cert, target).passed
         assert len(attempts) == face and all(attempts[1:])
+        assert calls[0] <= max(1, 0.55 * self.PLAIN_ITERATIONS[name])
 
     def test_same_certificate_every_run(self):
         target = cert_target("W3p")
