@@ -5,8 +5,15 @@ negative (on the positive orthant or on all of real space).  Floating
 point only screens candidates: every reported counterexample is an exact
 rational point whose difference re-evaluates exactly negative, so there
 are no false refutations.  Each pair's search is a scan of random points
-and then a cyclic coordinate descent (`_descend`) from the lowest of them:
-each step minimises the exact one-variable quadratic restriction on the
+and then a cyclic coordinate descent (`_descend`) from the lowest of them.
+The scan's kernel (`_CompiledPoly.eval_many`) is term-major and
+row-blocked: it builds each block's monomials as a (T, rows) array and
+takes the points in blocks of rows = max(64, BLOCK_ENTRIES // T // 64 * 64)
+rows, so a block stays in cache; blocks of a multiple of 64 rows give bit
+for bit the values of one matrix-vector product over all the points.  Each
+chunk keeps its four lowest rows by a linear-time partial pick
+(`_lowest_rows`), in the order of a stable sort.  In the descent, each
+step minimises the exact one-variable quadratic restriction on the
 box, steps only the variables the difference holds, forms that quadratic
 from the terms holding the variable alone, and the descent stops at an
 exact fixed point (a whole cycle that changes no bit).  `hpp_evidence`
@@ -39,6 +46,10 @@ _MODES = (RAYLEIGH, STRONG_RAYLEIGH, HPP_EVIDENCE, STABLE_EVIDENCE)
 # coordinate descent per pair: start points, and steps taken from each
 RESTARTS = 50
 STEPS = 500
+
+# monomials per row block of `_CompiledPoly.eval_many`: 512 KB of float64,
+# so a block and its gather buffer stay in a core's L2 cache
+BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -96,7 +107,9 @@ class EvidenceReport:
 
 
 class _CompiledPoly:
-    """Vectorized evaluation of a polynomial at real or complex points."""
+    """Vectorized evaluation of a polynomial at real or complex points:
+    term-major monomials (`monomials`), summed in row blocks
+    (`eval_many`)."""
 
     def __init__(self, p: Polynomial):
         self.m = p.m
@@ -109,37 +122,92 @@ class _CompiledPoly:
         self.live = [(j, col, int(col.max()))
                      for j, col in enumerate(self.exps.T) if col.any()]
 
-    def monomials(self, points: np.ndarray) -> np.ndarray:
-        """points: (N, m) -> monomial values (N, T).  Each variable's powers
-        come from one (N, degree + 1) table filled by repeated
-        multiplication and gathered by its exponent column; the factors
-        multiply in ascending variable order.  Real or complex points."""
-        out = None
+    def monomials(self, points: np.ndarray,
+                  work: np.ndarray | None = None) -> np.ndarray:
+        """points: (N, m) -> monomial values (N, T), built term-major.
+
+        Each variable's powers come from one (degree + 1, N) table filled
+        by repeated multiplication and gathered by its exponent column;
+        the factors multiply in ascending variable order.  The (T, N)
+        product is returned transposed, so each term's column is
+        contiguous (an F-ordered matrix).  `work`, when given, is a
+        (2, >= T * N) array of the points' dtype that holds the product
+        and each gather, so a caller that loops over blocks allocates
+        them once.  Real or complex points."""
+        n, terms = points.shape[0], len(self.coeffs)
+        if work is None:
+            work = np.empty((2, terms * n), dtype=points.dtype)
+        out = work[0, :terms * n].reshape(terms, n)
+        gathered = work[1, :terms * n].reshape(terms, n)
+        first = True
         for j, col, degree in self.live:
             x = points[:, j]
-            table = np.empty((points.shape[0], degree + 1), dtype=points.dtype)
-            table[:, 0] = 1
-            table[:, 1] = x
+            table = np.empty((degree + 1, n), dtype=points.dtype)
+            table[0] = 1
+            table[1] = x
             for k in range(2, degree + 1):
-                table[:, k] = table[:, k - 1] * x
-            if out is None:
-                out = table[:, col]
+                table[k] = table[k - 1] * x
+            # every index is in range, so "clip" is a plain gather that
+            # writes straight into its output
+            if first:
+                np.take(table, col, axis=0, out=out, mode="clip")
+                first = False
             else:
-                out *= table[:, col]
-        if out is None:
-            return np.ones((points.shape[0], len(self.coeffs)),
-                           dtype=points.dtype)
-        return out
+                np.take(table, col, axis=0, out=gathered, mode="clip")
+                out *= gathered
+        if first:
+            out[...] = 1
+        return out.T
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         """points: (N, m) -> values: (N,).  A value past the float range
-        is inf or nan, without a warning: this is only a screen."""
+        is inf or nan, without a warning: this is only a screen.
+
+        The points go through `monomials` in blocks of
+        rows = max(64, BLOCK_ENTRIES // T // 64 * 64) rows, so that a
+        block's monomial matrix stays in cache while every variable
+        multiplies into it, and the block buffers are allocated once per
+        call (fresh ones would page-fault on every block).  Each value is
+        bit for bit that of one product over all N rows: the product is a
+        BLAS gemv on the F-ordered matrix, which takes rows in SIMD groups
+        and its leftover rows apart, and blocks of a multiple of 64 rows
+        put every row in the same place of its group as the one product
+        does.  The last block ends where the one product ends, with the
+        same leftover."""
+        n, terms = points.shape[0], len(self.coeffs)
+        rows = max(64, BLOCK_ENTRIES // max(terms, 1) // 64 * 64)
+        starts = list(range(0, n, rows))
+        if len(starts) > 1 and n - starts[-1] < 64:
+            # a product of a few rows is summed in another order (numpy
+            # takes one row as a dot product; two or three rows were seen
+            # to round apart too), so a short last block joins the one
+            # before
+            starts.pop()
+        work = np.empty((2, terms * min(n, rows + 63)), dtype=points.dtype)
+        values = np.empty(n, dtype=np.result_type(points.dtype,
+                                                  self.coeffs.dtype))
         with np.errstate(over="ignore", invalid="ignore"):
-            return self.monomials(points) @ self.coeffs
+            for start, stop in zip(starts, starts[1:] + [n]):
+                block = self.monomials(points[start:stop], work)
+                values[start:stop] = block @ self.coeffs
+        return values
 
     def eval_one(self, point: np.ndarray) -> float:
         with np.errstate(over="ignore", invalid="ignore"):
             return float((self.monomials(point[None, :]) @ self.coeffs)[0])
+
+
+def _lowest_rows(vals: np.ndarray, k: int) -> np.ndarray:
+    """The rows of the k lowest values, ordered by (value, row):
+    `np.argsort(vals, kind="stable")[:k]`.  A partition finds the k-th
+    lowest value in linear time, and only the rows not above it are
+    sorted: k of them unless values tie or are nan.  nan sorts last, so
+    a nan k-th value keeps every row."""
+    if len(vals) <= k:
+        return np.argsort(vals, kind="stable")
+    kth = vals[np.argpartition(vals, k - 1)[k - 1]]
+    rows = np.flatnonzero(~(vals > kth))
+    return rows[np.argsort(vals[rows], kind="stable")[:k]]
 
 
 def _exact_candidate(delta: Polynomial, pair: tuple[int, int],
@@ -263,8 +331,7 @@ def falsify(Z: Polynomial, config: SampleConfig) -> Counterexample | None:
             pts = rng.uniform(lo, hi, size=(n, m))
             vals = comp.eval_many(pts)
             done += n
-            order = np.argsort(vals)
-            for idx in order[:4]:
+            for idx in _lowest_rows(vals, 4):
                 best_points.append((float(vals[idx]), pts[idx].copy()))
             neg = np.where(vals < 0)[0]
             for idx in neg[:16]:

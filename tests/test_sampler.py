@@ -6,13 +6,16 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import FANO_LINES
 from hppcheck import sampler
 from hppcheck.catalog import resolve_name, uniform
+from hppcheck.matroid import Matroid
 from hppcheck.polynomial import Polynomial, parse_polynomial
 from hppcheck.rayleigh import rayleigh_diff_multiaffine
 from hppcheck.sampler import (HPP_EVIDENCE, RAYLEIGH, STABLE_EVIDENCE,
                               STRONG_RAYLEIGH, Counterexample, SampleConfig,
-                              _CompiledPoly, _descend, falsify, hpp_evidence)
+                              _CompiledPoly, _descend, _lowest_rows, falsify,
+                              hpp_evidence)
 
 
 def descent_size(monkeypatch, restarts, steps):
@@ -23,6 +26,60 @@ def descent_size(monkeypatch, restarts, steps):
 
 def P(text, m=None):
     return parse_polynomial(text, m)
+
+
+def matroid(name):
+    """A catalog matroid, the Fano plane F7, or the dual of either (a
+    trailing `*`)."""
+    if name.endswith("*"):
+        return matroid(name[:-1]).dual()
+    if name == "F7":
+        return Matroid.from_nonbases(7, 3, FANO_LINES)
+    return resolve_name(name)
+
+
+def nonzero_differences(name):
+    """((e, f), Delta_ef) for every pair whose difference is not zero."""
+    Z = matroid(name).basis_polynomial()
+    for e, f in combinations(range(1, Z.m + 1), 2):
+        delta = rayleigh_diff_multiaffine(Z, e, f)
+        if not delta.is_zero():
+            yield (e, f), delta
+
+
+def _monomials_reference(comp, points):
+    """The kernel that the row-blocked one replaced: one (N, degree + 1)
+    power table per variable, gathered by `table[:, col]` into the whole
+    (N, T) matrix (F-ordered), then one matrix-vector product."""
+    out = None
+    for j, col, degree in comp.live:
+        x = points[:, j]
+        table = np.empty((points.shape[0], degree + 1), dtype=points.dtype)
+        table[:, 0] = 1
+        table[:, 1] = x
+        for k in range(2, degree + 1):
+            table[:, k] = table[:, k - 1] * x
+        if out is None:
+            out = table[:, col]
+        else:
+            out *= table[:, col]
+    if out is None:
+        out = np.ones((points.shape[0], len(comp.coeffs)), dtype=points.dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return out @ comp.coeffs
+
+
+def _parent_sampler(monkeypatch):
+    """Put the reference kernel and a full argsort of each chunk into
+    `sampler`, as they were before the row blocks and the partial pick."""
+    monkeypatch.setattr(_CompiledPoly, "eval_many", _monomials_reference)
+    monkeypatch.setattr(sampler, "_lowest_rows",
+                        lambda vals, k: np.argsort(vals)[:k])
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.uint64),
+                          np.asarray(b).view(np.uint64))
 
 
 def eval_complex(Z, point):
@@ -258,6 +315,146 @@ class TestKernel:
         point = [1 + 2j, -0.5j, 3 - 1j]
         value = _CompiledPoly(Z).eval_many(np.array([point]))[0]
         assert abs(value - eval_complex(Z, point)) < 1e-12
+
+
+class TestBlockedKernel:
+    """`eval_many` evaluates row blocks, each a multiple of 64 rows but the
+    last, and returns the reference kernel's values bit for bit."""
+
+    @pytest.mark.parametrize("name",
+                             ["nP", "V8", "F7m4", "F7", "U_2_4", "W3pe"])
+    def test_every_pair_bit_for_bit(self, name):
+        for pair, delta in nonzero_differences(name):
+            comp = _CompiledPoly(delta)
+            rng = np.random.default_rng(list(pair))
+            # 1696 rows: the last chunk of 100,000 trials
+            for n in (4096, 1696, 1001, 63, 7, 1):
+                points = rng.uniform(-10.0, 10.0, size=(n, delta.m))
+                want = _monomials_reference(comp, points)
+                assert same_bits(comp.eval_many(points), want), (pair, n)
+            assert same_bits(comp.eval_one(points[0]), want[0])
+
+    @pytest.mark.parametrize("name", ["U_2_4", "F7m4"])
+    def test_complex_rows_bit_for_bit(self, name):
+        # the evidence modes' path: the basis polynomial at complex rows,
+        # 2048 a chunk, 904 the last chunk of 5,000 trials
+        Z = resolve_name(name).basis_polynomial()
+        comp = _CompiledPoly(Z)
+        rng = np.random.default_rng(9)
+        for n in (2048, 904, 7, 1):
+            points = (rng.uniform(0.05, 10.0, size=(n, Z.m))
+                      + 1j * rng.uniform(-10.0, 10.0, size=(n, Z.m)))
+            assert same_bits(comp.eval_many(points),
+                             _monomials_reference(comp, points)), n
+
+    @pytest.mark.parametrize("n", [4096, 1696, 1001, 640, 639, 577, 63])
+    def test_blocks_are_multiples_of_64_rows(self, monkeypatch, n):
+        # nP's Delta_12 has 112 terms, so its blocks hold 576 rows; a last
+        # block shorter than 64 rows joins the block before
+        comp = _CompiledPoly(dict(nonzero_differences("nP"))[(1, 2)])
+        sizes = []
+        monomials = _CompiledPoly.monomials
+
+        def spy(self, points, *args):
+            sizes.append(len(points))
+            return monomials(self, points, *args)
+
+        monkeypatch.setattr(_CompiledPoly, "monomials", spy)
+        points = np.random.default_rng(n).uniform(-10.0, 10.0, size=(n, 9))
+        values = comp.eval_many(points)
+        assert sum(sizes) == n
+        assert all(size == 576 for size in sizes[:-1])
+        assert len(sizes) == 1 or 64 <= sizes[-1] < 576 + 64
+        assert len(sizes) == max(1, (n + 576 - 64) // 576)
+        assert same_bits(values, _monomials_reference(comp, points))
+
+    @pytest.mark.parametrize("terms", [{}, {(0, 0): 3}],
+                             ids=["zero", "constant"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_variable_free_polynomials(self, terms, dtype):
+        # T = 0 and T = 1 without a live variable; 70,000 rows of the
+        # constant take two blocks of 65,536 and 4,464 rows
+        comp = _CompiledPoly(Polynomial(2, terms))
+        for n in (70_000, 5, 1):
+            points = np.ones((n, 2), dtype=dtype)
+            values = comp.eval_many(points)
+            assert values.dtype == _monomials_reference(comp, points).dtype
+            assert values.tolist() == [sum(terms.values())] * n
+        if dtype is float:
+            assert comp.eval_one(points[0]) == sum(terms.values())
+
+
+class TestLowestRows:
+    """`_lowest_rows(vals, k)` is `np.argsort(vals, kind="stable")[:k]`."""
+
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, float("inf"),
+                                     -float("inf"), float("nan")]),
+                    min_size=1, max_size=40))
+    @example([float("nan")] * 6)
+    @example([1.0, float("nan"), float("nan"), float("nan"), float("nan")])
+    @example([2.0, 2.0, 2.0, 2.0, 2.0, 1.0])
+    def test_matches_stable_argsort(self, values):
+        vals = np.array(values)
+        for k in (1, 4):
+            assert _lowest_rows(vals, k).tolist() == \
+                np.argsort(vals, kind="stable")[:k].tolist()
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 5, 4096])
+    def test_random_chunks(self, n):
+        vals = np.random.default_rng(n).normal(size=n)
+        vals[::3] = vals[0]          # ties
+        assert _lowest_rows(vals, 4).tolist() == \
+            np.argsort(vals, kind="stable")[:4].tolist()
+
+
+class TestSameOutputsAsReference:
+    """`falsify` with the row-blocked kernel and the partial pick returns
+    what it returns with the reference kernel and a full argsort."""
+
+    @pytest.mark.parametrize("name", ["nP", "nP*", "F7", "F7*", "U_2_3"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_falsify(self, monkeypatch, name, seed):
+        Z = matroid(name).basis_polynomial()
+        config = SampleConfig(mode=STRONG_RAYLEIGH, trials=20_000, seed=seed)
+        got = falsify(Z, config)
+        _parent_sampler(monkeypatch)
+        assert falsify(Z, config) == got
+
+    @pytest.mark.parametrize("name", ["nP", "F7", "U_2_3"])
+    def test_falsify_positive_orthant(self, monkeypatch, name):
+        # nP holds no counterexample on the positive box: every pair's
+        # scan and descent runs to the end
+        descent_size(monkeypatch, 10, 100)
+        Z = matroid(name).basis_polynomial()
+        config = SampleConfig(mode=RAYLEIGH, trials=20_000, seed=0)
+        got = falsify(Z, config)
+        _parent_sampler(monkeypatch)
+        assert falsify(Z, config) == got
+
+    @pytest.mark.parametrize("name", ["U_2_4", "F7m4", "V8", "nP", "W3pe"])
+    @pytest.mark.parametrize("mode", [HPP_EVIDENCE, STABLE_EVIDENCE])
+    def test_hpp_evidence(self, monkeypatch, name, mode):
+        Z = resolve_name(name).basis_polynomial()
+        config = SampleConfig(mode=mode, trials=5_000, seed=4)
+        got = hpp_evidence(Z, config)
+        _parent_sampler(monkeypatch)
+        want = hpp_evidence(Z, config)
+        assert got.point == want.point
+        assert same_bits(got.min_modulus, want.min_modulus)
+        assert got == want
+
+    @pytest.mark.parametrize("trials", [1, 3, 4, 5, 4101])
+    @pytest.mark.parametrize("mode, name", [(STRONG_RAYLEIGH, "nP"),
+                                            (RAYLEIGH, "F7")])
+    def test_short_chunks(self, monkeypatch, trials, mode, name):
+        # a chunk of at most four rows is sorted whole; 4101 trials end
+        # with a chunk of five
+        descent_size(monkeypatch, 6, 60)
+        Z = matroid(name).basis_polynomial()
+        config = SampleConfig(mode=mode, trials=trials, seed=1)
+        got = falsify(Z, config)
+        _parent_sampler(monkeypatch)
+        assert falsify(Z, config) == got
 
 
 class TestBatchedDescent:
