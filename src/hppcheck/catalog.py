@@ -158,7 +158,9 @@ def find_labeling(M: Matroid, pair: tuple[int, int],
 
     Each pair {a, b} of M whose difference has the target's signature class
     sizes outside the pair maps onto `pair` both ways round, and each class
-    onto the target's class of the same signature in every order.
+    onto the target's class of the same signature in every order.  A zero
+    target takes the other elements in one order only: whether a
+    relabeling meets it depends only on the pair it takes onto `pair`.
     """
     e, f = pair
     if e == f:
@@ -173,7 +175,13 @@ def find_labeling(M: Matroid, pair: tuple[int, int],
         classes = _signature_classes(rayleigh_diff_multiaffine(Z, a, b), (a, b))
         if {sig: len(vs) for sig, vs in classes.items()} != sizes:
             continue
-        for images in product(*(permutations(slots[sig]) for sig in classes)):
+        orders = product(*(permutations(slots[sig]) for sig in classes))
+        if target_delta.is_zero():
+            # a relabeling's difference at `pair` is zero exactly when the
+            # pair it takes there has a zero difference, wherever the other
+            # elements go; so they go to the other labels in order
+            orders = [tuple(slots[sig] for sig in classes)]
+        for images in orders:
             perm = [0] * M.m
             for vs, image in zip(classes.values(), images):
                 for v, w in zip(vs, image):

@@ -35,7 +35,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import lcm, sqrt
 from typing import Iterator
 
 import numpy as np
@@ -201,10 +201,17 @@ def jacobi_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Each sweep visits every pair (p, q) once in the round-robin
     (Brent–Luk) ordering of `_round_robin`; the disjoint rotations of one
     round are applied together as one block rotation J, A <- J^T A J.
-    Returns (eigenvalues, Q) with A == Q @ diag(eigenvalues) @ Q.T up to
-    rotation roundoff.  `search` warm-starts it: it passes Q.T @ G @ Q for
-    the previous iterate's eigenbasis Q, which is nearly diagonal, and
-    multiplies the returned rotation back onto Q.
+    Each round's rotation parameters (c, s) are computed one pair at a
+    time on Python floats: a round has at most n/2 pairs (at most 8 for
+    the shipped targets, whose Gram matrices have 8 to 16 rows), and on
+    vectors that short numpy's per-call overhead outweighs the
+    arithmetic.  Python floats do the same correctly rounded IEEE-754
+    operations in the same order as the numpy expressions would, so J
+    holds the same bits.  Returns (eigenvalues, Q) with
+    A == Q @ diag(eigenvalues) @ Q.T up to rotation roundoff.  `search`
+    warm-starts it: it passes Q.T @ G @ Q for the previous iterate's
+    eigenbasis Q, which is nearly diagonal, and multiplies the returned
+    rotation back onto Q.
     """
     A = np.array(A, dtype=float)
     n = A.shape[0]
@@ -222,28 +229,32 @@ def jacobi_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             if off <= JACOBI_TOLERANCE * scale:
                 break
             for read, rot, zero in plan:
-                app, aqq, apq = A.take(read)
-                # each guard runs only in a round that needs it; written
-                # `not x > bound`, so that a nan takes it too
-                if not np.abs(apq).min() > 1e-300:
-                    live = np.abs(apq) > 1e-300
-                    if not live.any():
+                cs, ss, live = [], [], []
+                for app, aqq, apq in zip(*A.take(read).tolist()):
+                    # skip a pair whose A[p, q] is negligible or nan
+                    live.append(abs(apq) > 1e-300)
+                    if not live[-1]:
                         continue
-                    # skip the pairs whose A[p, q] is negligible
-                    app, aqq, apq = app[live], aqq[live], apq[live]
+                    tau = (aqq - app) / (2.0 * apq)
+                    if tau == 0.0:
+                        t = 1.0
+                    elif abs(tau) > 1e100:
+                        t = 1.0 / (2.0 * tau)
+                    else:
+                        # sign(tau) as tau / |tau|: +-1 exactly, and a nan
+                        # tau itself, as np.sign gives (copysign would
+                        # change the sign bit of a nan)
+                        t = (tau / abs(tau)) / (abs(tau) + sqrt(1.0 + tau * tau))
+                    c = 1.0 / sqrt(1.0 + t * t)
+                    cs.append(c)
+                    ss.append(t * c)
+                if not all(live):
+                    if not cs:
+                        continue
+                    live = np.array(live)
                     rot, zero = rot[np.tile(live, 4)], zero[np.tile(live, 2)]
-                tau = (aqq - app) / (2.0 * apq)
-                abs_tau = np.abs(tau)
-                t = np.sign(tau) / (abs_tau + np.sqrt(1.0 + tau * tau))
-                if not abs_tau.min() > 0.0:
-                    t[tau == 0.0] = 1.0
-                if not abs_tau.max() <= 1e100:
-                    big = abs_tau > 1e100
-                    t[big] = 1.0 / (2.0 * tau[big])
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
                 J = eye.copy()
-                J.put(rot, np.concatenate((c, s, -s, c)))
+                J.put(rot, cs + ss + [-s for s in ss] + cs)
                 A = J.T @ A @ J
                 A.put(zero, 0.0)
                 Q = Q @ J
@@ -306,7 +317,7 @@ def search(problem: GramProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray] | 
         # G is affine-feasible here; one decomposition serves both the
         # stopping test and the PSD projection.  G moves little per
         # iteration, so in the previous eigenbasis it is nearly diagonal
-        # and about one sweep does.
+        # and two or three sweeps do.
         vals, rotation = jacobi_eigh(Q.T @ G @ Q)
         Q = Q @ rotation
         min_eig = float(vals.min())

@@ -10,6 +10,7 @@ from hppcheck.catalog import (CATALOG_NAMES, CERT_PAIRS, catalog,
                               resolve_name, uniform)
 from hppcheck.certificate import shipped_store
 from hppcheck.matroid import Matroid
+from hppcheck.polynomial import Polynomial
 from hppcheck.rayleigh import rayleigh_diff_multiaffine
 
 
@@ -243,6 +244,58 @@ def test_find_labeling_matches_reference():
     assert len(results) == 7 + 3 * len(CATALOG_NAMES) + 3
     assert results[-3:] == [None] * 3
     assert None not in results[:-3]
+
+
+def _zero_target_cases():
+    # small matroids with loops, a coloop or neither, scrambled, at every
+    # pair; a zero target is met by any relabeling taking a pair of zero
+    # difference (one holding a loop or a coloop) onto the pair
+    rng = random.Random(2405)
+    bases = [uniform(2, 4), entry("F7m4").matroid,
+             Matroid(5, 2, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]),
+             Matroid(5, 3, [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]),
+             Matroid(6, 2, [(1, 3), (1, 4), (3, 4), (1, 6), (3, 6), (4, 6)]),
+             Matroid(4, 2, [(1, 2), (1, 3)])]
+    for M in bases:
+        perm = list(range(1, M.m + 1))
+        rng.shuffle(perm)
+        M = M.relabeled(perm)
+        target = Polynomial(M.m, {})
+        for pair in combinations(range(1, M.m + 1), 2):
+            yield M, pair[::rng.choice((1, -1))], target
+
+
+def test_find_labeling_zero_target_matches_reference():
+    results = []
+    for M, pair, target in _zero_target_cases():
+        perm = find_labeling(M, pair, target)
+        assert perm == reference_find_labeling(M, pair, target)
+        if perm is not None:
+            Z = M.relabeled(perm).basis_polynomial()
+            assert rayleigh_diff_multiaffine(Z, *pair).is_zero()
+        results.append(perm)
+    # U_2_4 and F7m4 have no pair of zero difference; every other matroid
+    # has one, so every pair can be sent a zero difference
+    assert results[:6 + 21] == [None] * 27
+    assert None not in results[27:]
+
+
+def test_find_labeling_zero_target_builds_few_relabelings(monkeypatch):
+    # element 1 of nP_d1 is a loop, so its (1, 2) difference is zero
+    M = entry("nP_d1").matroid
+    target = rayleigh_diff_multiaffine(M.basis_polynomial(), 1, 2)
+    assert target.is_zero()
+    calls = [0]
+    relabeled = Matroid.relabeled
+
+    def counted(self, perm):
+        calls[0] += 1
+        return relabeled(self, perm)
+
+    monkeypatch.setattr(Matroid, "relabeled", counted)
+    assert find_labeling(M, (1, 2), target) == tuple(range(1, 10))
+    # two per pair of zero difference: the eight pairs holding element 1
+    assert calls[0] == 16
 
 
 def test_find_labeling_rejects_a_repeated_pair():

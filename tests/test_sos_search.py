@@ -20,7 +20,7 @@ from hppcheck.sos_search import (GramProblemError, UnsuitableTargetError,
                                  _affine_projection, _extrapolated_step,
                                  _integer_zero_kernel,
                                  _nullspace, _project_affine,
-                                 _round_robin, _rref,
+                                 _rotation_plan, _round_robin, _rref,
                                  build_problem, jacobi_eigh, ldlt_psd,
                                  rationalize_and_verify, search,
                                  search_certificate)
@@ -186,6 +186,120 @@ def _project_affine_loop(G, problem):
     return out
 
 
+SPECIAL_KINDS = ["diagonal", "zero", "repeated", "equal_diagonal", "block",
+                 "odd3", "odd5"]
+
+
+def _special_input(kind):
+    rng = np.random.default_rng(5)
+    if kind == "diagonal":
+        return np.diag([3.0, -1.0, 0.0, 2.0, 2.0, -7.5])
+    if kind == "zero":
+        return np.zeros((6, 6))
+    if kind == "equal_diagonal":
+        # tau == 0 in every pair of the first round
+        A = np.ones((6, 6))
+        A[0, 5] = A[5, 0] = -2.0
+        return A
+    if kind == "block":
+        # exact zeros between the blocks: rounds mixing skipped pairs
+        # (|A[p, q]| <= 1e-300) with rotated ones
+        A = np.zeros((7, 7))
+        for lo, hi in ((0, 3), (3, 7)):
+            X = rng.normal(size=(hi - lo, hi - lo))
+            A[lo:hi, lo:hi] = (X + X.T) / 2
+        return A
+    if kind == "repeated":
+        # spectrum (2, 2, 2, -1, 5, 0) in a random orthonormal basis
+        V, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+        A = (V * [2.0, 2.0, 2.0, -1.0, 5.0, 0.0]) @ V.T
+        return (A + A.T) / 2
+    n = 3 if kind == "odd3" else 5
+    A = rng.normal(size=(n, n))
+    return (A + A.T) / 2
+
+
+def _jacobi_reference(A):
+    """The solver as it was with each round's (c, s) computed by numpy
+    expressions over the round's pairs, kept as the reference that
+    `jacobi_eigh` must match bit for bit."""
+    A = np.array(A, dtype=float)
+    n = A.shape[0]
+    eye = np.eye(n)
+    if n == 1:
+        return A.diagonal().copy(), eye
+    scale = max(1.0, float(np.abs(np.diagonal(A)).max()))
+    plan = _rotation_plan(n)
+    Q = eye
+    with np.errstate(over="ignore"):
+        for _ in range(sos_search.JACOBI_MAX_SWEEPS):
+            # direct off-diagonal norm; the difference-of-sums form cancels
+            # catastrophically once the matrix is nearly diagonal
+            off = float(np.sqrt(((A - np.diag(np.diagonal(A))) ** 2).sum()))
+            if off <= sos_search.JACOBI_TOLERANCE * scale:
+                break
+            for read, rot, zero in plan:
+                app, aqq, apq = A.take(read)
+                # each guard runs only in a round that needs it; written
+                # `not x > bound`, so that a nan takes it too
+                if not np.abs(apq).min() > 1e-300:
+                    live = np.abs(apq) > 1e-300
+                    if not live.any():
+                        continue
+                    # skip the pairs whose A[p, q] is negligible
+                    app, aqq, apq = app[live], aqq[live], apq[live]
+                    rot, zero = rot[np.tile(live, 4)], zero[np.tile(live, 2)]
+                tau = (aqq - app) / (2.0 * apq)
+                abs_tau = np.abs(tau)
+                t = np.sign(tau) / (abs_tau + np.sqrt(1.0 + tau * tau))
+                if not abs_tau.min() > 0.0:
+                    t[tau == 0.0] = 1.0
+                if not abs_tau.max() <= 1e100:
+                    big = abs_tau > 1e100
+                    t[big] = 1.0 / (2.0 * tau[big])
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                J = eye.copy()
+                J.put(rot, np.concatenate((c, s, -s, c)))
+                A = J.T @ A @ J
+                A.put(zero, 0.0)
+                Q = Q @ J
+    return np.diagonal(A).copy(), Q
+
+
+def _branch_input(kind):
+    """A 4 x 4 input whose first rotation, of the pair (0, 3), takes one
+    guard."""
+    rng = np.random.default_rng(13)
+    A = rng.normal(size=(4, 4))
+    A = (A + A.T) / 2
+    if kind == "huge_tau":
+        # |tau| = 1 / (2e-250) > 1e100: t = 1 / (2 tau)
+        A[0, 0], A[3, 3] = 0.0, 1.0
+        A[0, 3] = A[3, 0] = 1e-250
+    elif kind == "negative_zero_tau":
+        # equal diagonal and A[p, q] < 0: tau == -0.0, so t = 1
+        A[0, 0] = A[3, 3] = 2.0
+        A[0, 3] = A[3, 0] = -1.5
+    elif kind == "subnormal":
+        # a subnormal A[p, q] is negligible: the pair is skipped, and the
+        # other pair of its round, (1, 2), is rotated
+        A[0, 3] = A[3, 0] = 5e-324
+    elif kind == "nan":
+        # a nan A[p, q] is skipped like a negligible one
+        A[0, 3] = A[3, 0] = np.nan
+    elif kind == "nan_tau":
+        # a nan with its sign bit set, as x86 makes for inf - inf: tau is
+        # that nan, and so are t, c, s and the rotated entries
+        A[0, 0] = -np.nan
+    elif kind == "inf":
+        # tau = finite / inf == -0.0: t = 1, and the rotation makes nans
+        A[0, 3] = A[3, 0] = np.inf
+    else:
+        A[3, 3] = -np.inf
+    return A
+
+
 class TestJacobi:
     def test_reconstruction_accuracy(self):
         rng = np.random.default_rng(11)
@@ -214,35 +328,9 @@ class TestJacobi:
         seen = sorted(pair for pairs in rounds for pair in pairs)
         assert seen == list(combinations(range(n), 2))
 
-    @pytest.mark.parametrize("kind", ["diagonal", "zero", "repeated",
-                                      "equal_diagonal", "block", "odd3",
-                                      "odd5"])
+    @pytest.mark.parametrize("kind", SPECIAL_KINDS)
     def test_special_inputs(self, kind):
-        rng = np.random.default_rng(5)
-        if kind == "diagonal":
-            A = np.diag([3.0, -1.0, 0.0, 2.0, 2.0, -7.5])
-        elif kind == "zero":
-            A = np.zeros((6, 6))
-        elif kind == "equal_diagonal":
-            # tau == 0 in every pair of the first round
-            A = np.ones((6, 6))
-            A[0, 5] = A[5, 0] = -2.0
-        elif kind == "block":
-            # exact zeros between the blocks: rounds mixing skipped pairs
-            # (|A[p, q]| <= 1e-300) with rotated ones
-            A = np.zeros((7, 7))
-            for lo, hi in ((0, 3), (3, 7)):
-                X = rng.normal(size=(hi - lo, hi - lo))
-                A[lo:hi, lo:hi] = (X + X.T) / 2
-        elif kind == "repeated":
-            # spectrum (2, 2, 2, -1, 5, 0) in a random orthonormal basis
-            V, _ = np.linalg.qr(rng.normal(size=(6, 6)))
-            A = (V * [2.0, 2.0, 2.0, -1.0, 5.0, 0.0]) @ V.T
-            A = (A + A.T) / 2
-        else:
-            n = 3 if kind == "odd3" else 5
-            A = rng.normal(size=(n, n))
-            A = (A + A.T) / 2
+        A = _special_input(kind)
         vals, Q = jacobi_eigh(A)
         assert np.linalg.norm((Q * vals) @ Q.T - A) < 1e-10
         assert np.linalg.norm(Q.T @ Q - np.eye(len(A))) < 1e-10
@@ -273,6 +361,93 @@ class TestJacobi:
             G = (G + G.T) / 2
             want = _project_affine_loop(G, prob)
             assert np.abs(_project_affine(G, prob) - want).max() < 1e-12
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                  b.view(np.uint64))
+
+
+class TestJacobiBitIdentity:
+    """`jacobi_eigh` computes each rotation on Python floats; its
+    eigenvalues and Q are the numpy reference's, bit for bit."""
+
+    def assert_same(self, A):
+        with np.errstate(invalid="ignore"):
+            want = _jacobi_reference(A)
+            got = jacobi_eigh(A)
+        assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_random(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(3):
+            A = rng.normal(size=(n, n))
+            self.assert_same((A + A.T) / 2)
+
+    @pytest.mark.parametrize("n", [2, 5, 8, 12, 17])
+    def test_warm_start(self, n):
+        rng = np.random.default_rng(200 + n)
+        A = rng.normal(size=(n, n))
+        A = (A + A.T) / 2
+        _, Q = _jacobi_reference(A)
+        for _ in range(3):
+            E = 1e-3 * rng.normal(size=(n, n))
+            A = A + (E + E.T) / 2
+            self.assert_same(Q.T @ A @ Q)
+            _, R = _jacobi_reference(Q.T @ A @ Q)
+            Q = Q @ R
+
+    @pytest.mark.parametrize("kind", SPECIAL_KINDS)
+    def test_special_inputs(self, kind):
+        self.assert_same(_special_input(kind))
+
+    @pytest.mark.parametrize("kind", ["huge_tau", "negative_zero_tau",
+                                      "subnormal", "nan", "nan_tau", "inf",
+                                      "minus_inf_diagonal"])
+    def test_branches(self, kind):
+        self.assert_same(_branch_input(kind))
+
+    def test_branch_inputs_reach_their_guard(self):
+        def first_pair(kind):
+            app, aqq, apq = _branch_input(kind).take(_rotation_plan(4)[0][0])
+            return app[0], aqq[0], apq[0]
+
+        app, aqq, apq = first_pair("huge_tau")
+        assert abs((aqq - app) / (2.0 * apq)) > 1e100
+        app, aqq, apq = first_pair("negative_zero_tau")
+        tau = (aqq - app) / (2.0 * apq)
+        assert tau == 0.0 and np.signbit(tau)
+        assert 0.0 < first_pair("subnormal")[2] < np.finfo(float).tiny
+        assert np.isnan(first_pair("nan")[2])
+        app, aqq, apq = first_pair("nan_tau")
+        assert np.signbit((aqq - app) / (2.0 * apq))
+        assert np.isnan((aqq - app) / (2.0 * apq))
+        app, aqq, apq = first_pair("inf")
+        assert (aqq - app) / (2.0 * apq) == 0.0
+        app, aqq, apq = first_pair("minus_inf_diagonal")
+        assert (aqq - app) / (2.0 * apq) in (np.inf, -np.inf)
+
+    @pytest.mark.parametrize("name", ["W3p", "nP_d9"])
+    def test_same_search(self, name, monkeypatch):
+        target = cert_target(name)
+        calls = count_jacobi(monkeypatch)
+        cert = search_certificate(target)
+        monkeypatch.setattr(sos_search, "jacobi_eigh", _jacobi_reference)
+        reference = count_jacobi(monkeypatch)
+        want = search_certificate(target)
+        assert calls[0] == reference[0] > 1
+        assert certificate_to_text(cert) == certificate_to_text(want)
+
+    def test_same_stall(self, monkeypatch):
+        Z = Matroid.from_nonbases(7, 3, FANO_LINES).basis_polynomial()
+        target = rayleigh_diff_multiaffine(Z, 1, 2)
+        calls = count_jacobi(monkeypatch)
+        assert search_certificate(target) is None
+        monkeypatch.setattr(sos_search, "jacobi_eigh", _jacobi_reference)
+        reference = count_jacobi(monkeypatch)
+        assert search_certificate(target) is None
+        assert calls[0] == reference[0] > 1
 
 
 def test_no_library_eigensolver():
