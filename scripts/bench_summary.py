@@ -14,18 +14,20 @@ that ``perfbench/run.py`` reports, so a summary of a working tree can be
 matched to the commit that holds the same sources.
 
     python3 scripts/bench_summary.py --parent ../parent --pairs 10 \
-        --workload search --seeds 41 42 43 44 45 46 47 48 49 50
+        --workload search exact --seeds 41 42 43 44 45 46 47 48 49 50
 
-compares this checkout with the parent checkout in DIR instead: it runs
-N pairs of untraced ``perfbench/run.py`` runs of one workload, one run on
-each side per pair, alternating which side goes first, so that a drift
-in the machine's load falls on both sides alike.  Pair i takes seed
-``seeds[i % len(seeds)]``.  For every end-to-end metric it prints each
-side's median and quartiles and the number of pairs the change wins
-(ties count for neither side), and whether that shows a gain: the change
-wins at least nine tenths of the pairs and the medians differ by more
-than the parent's quartile distance.  ``--out`` then writes the same
-record as JSON.
+compares this checkout with the parent checkout in DIR instead: for each
+named workload in turn it runs N pairs of untraced ``perfbench/run.py``
+runs, one run on each side per pair, alternating which side goes first,
+so that a drift in the machine's load falls on both sides alike.  Pair i
+takes seed ``seeds[i % len(seeds)]``.  For every end-to-end metric it
+prints each side's median and quartiles and the number of pairs the
+change wins (ties count for neither side), and whether that shows a
+gain: the change wins at least nine tenths of the pairs and the medians
+differ by more than the parent's quartile distance.  It ends with one
+row per workload: each metric's medians and their relative change, so
+that a check for regressions on every workload is one command.
+``--out`` then writes the records as JSON, keyed by workload.
 """
 
 import argparse
@@ -158,6 +160,18 @@ def print_comparison(record: dict) -> None:
               f"{record['pairs']}; gain shown: {m['gain_shown']}")
 
 
+def comparison_row(record: dict) -> str:
+    """One line for a workload: each end-to-end metric's parent and change
+    medians, the relative change and the change's wins."""
+    cells = []
+    for name, m in record["metrics"].items():
+        parent, change = m["parent"]["median"], m["change"]["median"]
+        rel = f"{(change - parent) / parent:+.1%}" if parent else "n/a"
+        cells.append(f"{name} {parent:.4g} -> {change:.4g} ({rel}, "
+                     f"{m['change_wins']}/{record['pairs']})")
+    return f"{record['workload']}: " + "; ".join(cells)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path,
@@ -169,7 +183,8 @@ def main() -> int:
     parser.add_argument("--parent", type=Path,
                         help="a checkout of the parent commit to compare with")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--workload")
+    parser.add_argument("--workload", nargs="+",
+                        help="the workloads to compare, one after another")
     args = parser.parse_args()
     if args.parent is None:
         if args.out is None:
@@ -178,9 +193,13 @@ def main() -> int:
     else:
         if args.workload is None or args.pairs < 1:
             parser.error("--parent needs --workload and --pairs of at least 1")
-        summary = compare(args.parent.resolve(), args.root.resolve(),
-                          args.workload, args.pairs, args.seeds, args.seconds)
-        print_comparison(summary)
+        summary = {}
+        for workload in args.workload:
+            summary[workload] = compare(args.parent.resolve(), args.root.resolve(),
+                                        workload, args.pairs, args.seeds, args.seconds)
+            print_comparison(summary[workload])
+        for record in summary.values():
+            print(comparison_row(record))
         if args.out is None:
             return 0
     args.out.write_text(json.dumps(summary, indent=1) + "\n")

@@ -24,6 +24,18 @@ same kind of map, built from the keys on first read and cached.
 ring operations, minors, shape predicates, `eval_rational` and
 `weighted_square_sum` read only the keys.
 
+Every product of two polynomials is formed by one kernel,
+`sum_of_products(m, terms)`: it sums c_i * p_i * q_i over packed keys into
+one dict and cleans that dict once.  `__mul__`, `square`,
+`weighted_square_sum` and each Rayleigh difference and discriminant of
+`hppcheck.rayleigh` are single calls of it.
+
+Results that are clean by construction skip the constructor's checks
+through `Polynomial._trusted`: those of `sum_of_products`, `__add__`,
+`__sub__`, `__neg__`, `scalar_mul`, `contract`, `delete` and `padded` here,
+and `Matroid.basis_polynomial`.  Input from outside goes through the
+constructor.
+
 Canonical term order is graded lexicographic: higher total degree first,
 ties broken by the exponent tuple in descending lexicographic order (y1
 weighs heaviest).  This fixes the text serialization.
@@ -126,9 +138,8 @@ class Polynomial:
         every key packs m exponents, no coefficient is zero, integral ones
         are int, and no exponent exceeds top <= MAX_EXPONENT.  The dict is
         taken over, not copied, and never changed afterwards.  Only the
-        ring operations, minors and padding below, `weighted_square_sum`
-        and `Matroid.basis_polynomial` call this;
-        input from outside goes through __init__."""
+        callers that the module docstring lists use this; input from
+        outside goes through __init__."""
         p = object.__new__(cls)
         p.m = m
         p._keys = keys
@@ -230,21 +241,7 @@ class Polynomial:
             return self.scalar_mul(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        self._check_m(other)
-        top = self._top + other._top
-        if top > MAX_EXPONENT:
-            raise ValueError(
-                f"product could have an exponent above {MAX_EXPONENT}")
-        # with every byte sum at most 255, adding keys adds exponent tuples
-        out: dict[int, Coefficient] = {}
-        get = out.get
-        right = list(other._keys.items())
-        for k1, c1 in self._keys.items():
-            for k2, c2 in right:
-                k = k1 + k2
-                prev = get(k)
-                out[k] = c1 * c2 if prev is None else prev + c1 * c2
-        return Polynomial._trusted(self.m, _clean(out), top)
+        return sum_of_products(self.m, ((1, self, other),))
 
     def __rmul__(self, other: Coefficient) -> Polynomial:
         if isinstance(other, (int, Fraction)):
@@ -252,7 +249,7 @@ class Polynomial:
         return NotImplemented
 
     def square(self) -> Polynomial:
-        return self * self
+        return sum_of_products(self.m, ((1, self, self),))
 
     def __pow__(self, n: int) -> Polynomial:
         if n < 0:
@@ -271,13 +268,17 @@ class Polynomial:
         shift = 8 * (e - 1)
         unit = 1 << shift
         # k -> k - unit is one-to-one on the terms that hold y_e, so nothing
-        # accumulates; _clean only turns integral Fractions into int
+        # accumulates, and an int times a positive exponent is a nonzero
+        # int; _clean only turns integral Fractions into int
+        keys = self._keys
         out: dict[int, Coefficient] = {}
-        for k, c in self._keys.items():
+        for k, c in keys.items():
             a = k >> shift & 0xFF
             if a:
                 out[k - unit] = c * a
-        return Polynomial._trusted(self.m, _clean(out), self._top)
+        if Fraction in set(map(type, keys.values())):
+            out = _clean(out)
+        return Polynomial._trusted(self.m, out, self._top)
 
     def delete(self, e: int) -> Polynomial:
         """Substitution y_e := 0."""
@@ -371,46 +372,70 @@ class Polynomial:
         return f"Polynomial({self.m}, {format_polynomial(self)!r})"
 
 
+def sum_of_products(m: int, terms: Iterable[tuple[Coefficient, Polynomial, Polynomial]]
+                    ) -> Polynomial:
+    """sum_i c_i * p_i * q_i on the ground set of size m, for the
+    (c_i, p_i, q_i) of terms, summed over packed keys into one dict that is
+    cleaned once.  Every p_i and q_i must have ground set size m, else
+    GroundSetMismatchError; every term's exponent cap is checked before any
+    product is formed.  A term whose p is q is taken as a square, over the
+    pairs j <= l of its terms with the pairs j < l doubled."""
+    terms = tuple(terms)
+    top = 0
+    for _, p, q in terms:
+        if p.m != m or q.m != m:
+            raise GroundSetMismatchError(
+                f"ground set sizes differ: {p.m}, {q.m} vs {m}")
+        top = max(top, p._top + q._top)
+    if top > MAX_EXPONENT:
+        raise ValueError(f"product could have an exponent above {MAX_EXPONENT}")
+    # with every byte sum at most 255, adding keys adds exponent tuples
+    out: dict[int, Coefficient] = {}
+    get = out.get
+    for c, p, q in terms:
+        right = list(q._keys.items())
+        square = p is q
+        for j, (k1, c1) in enumerate(right if square else p._keys.items()):
+            cc = c1 if c == 1 else c * c1
+            if type(cc) is not int and cc.denominator == 1:
+                cc = cc.numerator
+            if square:
+                # (sum_j u_j)^2 = sum_j u_j^2 + 2 sum_{j<l} u_j u_l
+                k = k1 + k1
+                prev = get(k)
+                out[k] = cc * c1 if prev is None else prev + cc * c1
+                cc += cc
+                row = right[j + 1:]
+            else:
+                row = right
+            for k2, c2 in row:
+                k = k1 + k2
+                prev = get(k)
+                out[k] = cc * c2 if prev is None else prev + cc * c2
+    return Polynomial._trusted(m, _clean(out), top)
+
+
 def weighted_square_sum(m: int, terms: Iterable[tuple[Coefficient, Polynomial]]
                         ) -> tuple[Polynomial, int]:
     """(N, D) with N == D * sum_i w_i * q_i^2 on the ground set of size m,
     for the (w_i, q_i) of terms: N = sum_i (w_i * D / L_i^2) * (L_i * q_i)^2
-    is summed over the integers, where L_i clears q_i's denominators and D
-    is the least common denominator of the w_i / L_i^2.  Raises as padded
-    and square do."""
+    is summed over the integers by `sum_of_products`, where L_i clears
+    q_i's denominators and D is the least common denominator of the
+    w_i / L_i^2.  Raises as padded and square do."""
     scaled = []
-    top = 0
     for w, q in terms:
         if q.m > m:
             raise GroundSetMismatchError(
                 f"cannot shrink ground set from {q.m} to {m}")
-        top = max(top, 2 * q._top)
-        if top > MAX_EXPONENT:
-            raise ValueError(
-                f"product could have an exponent above {MAX_EXPONENT}")
         coeffs = q._keys
         L = lcm(*(c.denominator for c in coeffs.values() if type(c) is not int))
         if L > 1:
-            coeffs = {k: c.numerator * (L // c.denominator)
-                      for k, c in coeffs.items()}
+            q = Polynomial._trusted(q.m, {k: c.numerator * (L // c.denominator)
+                                          for k, c in coeffs.items()}, q._top)
         a, b = Fraction(w).as_integer_ratio()
-        scaled.append((a, b * L * L, coeffs))   # w / L^2 = a / (b L^2)
+        scaled.append((a, b * L * L, q.padded(m)))   # w / L^2 = a / (b L^2)
     D = lcm(*(b // gcd(a, b) for a, b, _ in scaled))
-    out: dict[int, int] = {}
-    get = out.get
-    for a, b, coeffs in scaled:
-        c = a * D // b
-        items = list(coeffs.items())
-        # (sum_j u_j)^2 = sum_j u_j^2 + 2 sum_{j<l} u_j u_l; keys add
-        for j, (k1, u1) in enumerate(items):
-            cu = c * u1
-            k = k1 + k1
-            out[k] = get(k, 0) + cu * u1
-            cu += cu
-            for k2, u2 in items[j + 1:]:
-                k = k1 + k2
-                out[k] = get(k, 0) + cu * u2
-    return Polynomial._trusted(m, {k: c for k, c in out.items() if c}, top), D
+    return sum_of_products(m, [(a * D // b, q, q) for a, b, q in scaled]), D
 
 
 # -- text format ------------------------------------------------------------

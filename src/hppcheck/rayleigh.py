@@ -15,8 +15,14 @@ Viewed as a quadratic in a third variable y_g,
 where A, B and C are read off the difference's powers of y_g (at most 2
 for multiaffine Z).  The discriminant B^2 - 4AC is symmetric in {e, f, g};
 it is computed from that read-off and from its expanded form in the eight
-minors of Z at {e, f, g}, two forms that share only polynomial arithmetic
-and are cross-checked in tests (neither is trusted alone).
+minors of Z at {e, f, g}, and cross-checked in tests (neither is trusted
+alone).
+
+Each difference and each discriminant is one call of the product kernel
+`polynomial.sum_of_products`, which sums all of a form's products into one
+dict.  The two difference forms, and the two discriminant forms, share
+nothing but that kernel and the minors, so their cross-checks stay
+independent.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from hppcheck.polynomial import Polynomial
+from hppcheck.polynomial import Polynomial, sum_of_products
 
 
 def rayleigh_diff(Z: Polynomial, e: int, f: int) -> Polynomial:
@@ -34,7 +40,7 @@ def rayleigh_diff(Z: Polynomial, e: int, f: int) -> Polynomial:
     Ze = Z.contract(e)
     Zf = Z.contract(f)
     Zef = Ze.contract(f)
-    return Ze * Zf - Zef * Z
+    return sum_of_products(Z.m, ((1, Ze, Zf), (-1, Zef, Z)))
 
 
 def rayleigh_diff_multiaffine(Z: Polynomial, e: int, f: int) -> Polynomial:
@@ -44,8 +50,8 @@ def rayleigh_diff_multiaffine(Z: Polynomial, e: int, f: int) -> Polynomial:
     if not Z.is_multiaffine():
         raise ValueError("minor form requires a multiaffine polynomial")
     Ze = Z.contract(e)
-    return Ze.delete(f) * Z.contract(f).delete(e) \
-        - Ze.contract(f) * Z.delete(e).delete(f)
+    return sum_of_products(Z.m, ((1, Ze.delete(f), Z.contract(f).delete(e)),
+                                 (-1, Ze.contract(f), Z.delete(e).delete(f))))
 
 
 @dataclass(frozen=True)
@@ -65,7 +71,7 @@ class QuadDecomposition:
     C: Polynomial
 
     def discriminant(self) -> Polynomial:
-        return self.B * self.B - self.A * self.C * 4
+        return sum_of_products(self.B.m, ((1, self.B, self.B), (-4, self.A, self.C)))
 
 
 def quad_decompose(Z: Polynomial, e: int, f: int, g: int) -> QuadDecomposition:
@@ -127,9 +133,8 @@ def discriminant_symmetric_form(Z: Polynomial, e: int, f: int, g: int) -> Polyno
         raise ValueError("symmetric discriminant form requires a multiaffine polynomial")
     p1, p2, p3, p4, p5, p6, p7, p8 = _eight_minors(Z, e, f, g)
     q12, q34, q56, q78 = p1 * p2, p3 * p4, p5 * p6, p7 * p8
-    return (
-        q12 * q12 + q34 * q34 + q56 * q56 + q78 * q78
-        - 2 * (q12 * q34) - 2 * (q12 * q56) - 2 * (q34 * q56)
-        - 2 * ((q12 + q34 + q56) * q78)
-        + 4 * (p1 * p3 * p5 * p7) + 4 * (p2 * p4 * p6 * p8)
-    )
+    return sum_of_products(Z.m, (
+        (1, q12, q12), (1, q34, q34), (1, q56, q56), (1, q78, q78),
+        (-2, q12, q34), (-2, q12, q56), (-2, q34, q56),
+        (-2, q12, q78), (-2, q34, q78), (-2, q56, q78),
+        (4, p1 * p3, p5 * p7), (4, p2 * p4, p6 * p8)))

@@ -10,7 +10,13 @@ The scan's kernel (`_CompiledPoly.eval_many`) is term-major and
 row-blocked: it builds each block's monomials as a (T, rows) array and
 takes the points in blocks of rows = max(64, BLOCK_ENTRIES // T // 64 * 64)
 rows, so a block stays in cache; blocks of a multiple of 64 rows give bit
-for bit the values of one matrix-vector product over all the points.  Each
+for bit the values of one matrix-vector product over all the points.
+Those last bits depend on the BLAS thread count: OpenBLAS splits a large
+product's rows between its threads, and rows at the end of a share can
+round apart, so for one seed the float screen, and so which rows are
+re-checked or descended from, may differ between machines with different
+core counts (the benchmark pins one thread).  Exact soundness is
+unaffected: every reported point is re-checked exactly.  Each
 chunk keeps its four lowest rows by a linear-time partial pick
 (`_lowest_rows`), in the order of a stable sort.  In the descent, each
 step minimises the exact one-variable quadratic restriction on the

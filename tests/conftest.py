@@ -4,8 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
+from math import gcd, lcm
+
 from hppcheck import sos_search
-from hppcheck.polynomial import Polynomial
+from hppcheck.polynomial import (MAX_EXPONENT, GroundSetMismatchError,
+                                 Polynomial, _clean)
 
 # property tests draw the same examples on every run and never time out
 settings.register_profile("hppcheck", derandomize=True, deadline=None,
@@ -67,3 +70,84 @@ def proposition_corpus():
         e, f, g = rng.sample(range(1, m + 1), 3)
         corpus.append((Z, e, f, g))
     return corpus
+
+
+# -- the exact layer's products before `sum_of_products` ------------------------
+#
+# `Polynomial.__mul__` and `__sub__` as they were, one dict and one clean per
+# operation, and `weighted_square_sum` with its own square loop: identity
+# tests compare the kernel's results, key order included, with these.
+
+def _mul_reference(p: Polynomial, q: Polynomial) -> Polynomial:
+    p._check_m(q)
+    top = p._top + q._top
+    if top > MAX_EXPONENT:
+        raise ValueError(f"product could have an exponent above {MAX_EXPONENT}")
+    out = {}
+    get = out.get
+    right = list(q._keys.items())
+    for k1, c1 in p._keys.items():
+        for k2, c2 in right:
+            k = k1 + k2
+            prev = get(k)
+            out[k] = c1 * c2 if prev is None else prev + c1 * c2
+    return Polynomial._trusted(p.m, _clean(out), top)
+
+
+def _sub_reference(p: Polynomial, q: Polynomial) -> Polynomial:
+    p._check_m(q)
+    out = dict(p._keys)
+    get = out.get
+    for k, c in q._keys.items():
+        prev = get(k)
+        out[k] = -c if prev is None else prev - c
+    return Polynomial._trusted(p.m, _clean(out), max(p._top, q._top))
+
+
+def _weighted_square_sum_reference(m, terms):
+    scaled = []
+    top = 0
+    for w, q in terms:
+        if q.m > m:
+            raise GroundSetMismatchError(
+                f"cannot shrink ground set from {q.m} to {m}")
+        top = max(top, 2 * q._top)
+        if top > MAX_EXPONENT:
+            raise ValueError(
+                f"product could have an exponent above {MAX_EXPONENT}")
+        coeffs = q._keys
+        L = lcm(*(c.denominator for c in coeffs.values() if type(c) is not int))
+        if L > 1:
+            coeffs = {k: c.numerator * (L // c.denominator)
+                      for k, c in coeffs.items()}
+        a, b = Fraction(w).as_integer_ratio()
+        scaled.append((a, b * L * L, coeffs))
+    D = lcm(*(b // gcd(a, b) for a, b, _ in scaled))
+    out = {}
+    get = out.get
+    for a, b, coeffs in scaled:
+        c = a * D // b
+        items = list(coeffs.items())
+        for j, (k1, u1) in enumerate(items):
+            cu = c * u1
+            k = k1 + k1
+            out[k] = get(k, 0) + cu * u1
+            cu += cu
+            for k2, u2 in items[j + 1:]:
+                k = k1 + k2
+                out[k] = get(k, 0) + cu * u2
+    return Polynomial._trusted(m, {k: c for k, c in out.items() if c}, top), D
+
+
+def _diff_reference(Z: Polynomial, e: int, f: int) -> Polynomial:
+    """`rayleigh_diff` built from the reference products."""
+    Ze = Z.contract(e)
+    return _sub_reference(_mul_reference(Ze, Z.contract(f)),
+                          _mul_reference(Ze.contract(f), Z))
+
+
+def _diff_multiaffine_reference(Z: Polynomial, e: int, f: int) -> Polynomial:
+    """`rayleigh_diff_multiaffine` built from the reference products."""
+    Ze = Z.contract(e)
+    return _sub_reference(_mul_reference(Ze.delete(f), Z.contract(f).delete(e)),
+                          _mul_reference(Ze.contract(f), Z.delete(e).delete(f)))

@@ -2,6 +2,7 @@
 replaced by fixed results."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -72,3 +73,34 @@ def test_gain_rule(monkeypatch, change, shown):
     wall_s = record["metrics"]["wall_s"]
     assert wall_s["parent"]["q3"] - wall_s["parent"]["q1"] == pytest.approx(0.15)
     assert wall_s["gain_shown"] is shown
+
+
+def test_several_workloads_one_row_each(monkeypatch, capsys, tmp_path):
+    module = _load()
+    calls = []
+
+    def run_bench(root, workload, seed, seconds, trace):
+        side = "parent" if root.name == "parent" else "change"
+        calls.append((workload, side))
+        wall = {"parent": 1.0, "change": 0.8 if workload == "exact" else 1.0}[side]
+        metrics = {"wall_s": wall, "setup_s": 1.0, "peak_rss_mb": 1.0}
+        return ({"git_sha": None, "source_sha256": side},
+                {"correct": True, "failed": 0, "attempted": 3,
+                 "metrics": {k: {"value": v} for k, v in metrics.items()}})
+
+    monkeypatch.setattr(module, "run_bench", run_bench)
+    out = tmp_path / "pairs.json"
+    monkeypatch.setattr("sys.argv", [
+        "bench_summary.py", "--parent", str(tmp_path / "parent"), "--pairs", "3",
+        "--workload", "check", "exact", "--seeds", "5", "--out", str(out)])
+    assert module.main() == 0
+    # each workload's pairs run in turn, alternating the side that goes first
+    alternating = ["parent", "change", "change", "parent", "parent", "change"]
+    assert calls == [(w, side) for w in ("check", "exact") for side in alternating]
+    rows = capsys.readouterr().out.splitlines()[-2:]
+    assert rows[0].startswith("check: wall_s 1 -> 1 (+0.0%, 0/3)")
+    assert rows[1].startswith("exact: wall_s 1 -> 0.8 (-20.0%, 3/3)")
+    assert "setup_s 1 -> 1 (+0.0%, 0/3)" in rows[1]
+    records = json.loads(out.read_text())
+    assert list(records) == ["check", "exact"]
+    assert records["exact"]["metrics"]["wall_s"]["change_wins"] == 3

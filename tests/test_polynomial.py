@@ -13,10 +13,12 @@ from hppcheck.certificate import (certificate_from_text, certificate_to_text,
                                   shipped_store_dir)
 from hppcheck.polynomial import (MAX_EXPONENT, GroundSetMismatchError,
                                  Polynomial, PolynomialParseError,
-                                 format_polynomial, mask_key, parse_polynomial)
+                                 format_polynomial, mask_key, parse_polynomial,
+                                 sum_of_products, weighted_square_sum)
 from hppcheck.rayleigh import discriminant, rayleigh_diff
 
-from conftest import random_multiaffine
+from conftest import (_mul_reference, _weighted_square_sum_reference,
+                      random_multiaffine)
 
 
 def P(text, m=None):
@@ -377,6 +379,106 @@ class TestPackedKeys:
         assert parse_polynomial("*".join(["y1"] * 255)) == y1 ** 255
         with pytest.raises(PolynomialParseError):
             parse_polynomial("*".join(["y1"] * 256))
+
+
+# -- the product kernel against the tuple-keyed reference ----------------------
+
+@st.composite
+def product_terms(draw):
+    """m <= 6 and up to four terms (c, p, q) on m variables with exponents
+    0..3; q is sometimes p itself (the kernel's square)."""
+    m = draw(st.integers(0, 6))
+    exponents = st.tuples(*[st.integers(0, 3)] * m)
+
+    def polynomial():
+        return Polynomial(m, draw(st.dictionaries(exponents, rationals, max_size=6)))
+
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        p = polynomial()
+        terms.append((draw(rationals), p, p if draw(st.booleans()) else polynomial()))
+    return m, terms
+
+
+def ref_sum_of_products(m, terms):
+    out = {}
+    for c, p, q in terms:
+        out = ref_add(out, {e: c * a for e, a in ref_mul(p.terms, q.terms).items()})
+    return out
+
+
+class TestSumOfProducts:
+    @given(product_terms())
+    def test_matches_reference(self, drawn):
+        m, terms = drawn
+        r = sum_of_products(m, terms)
+        assert_clean(r)
+        assert r == Polynomial(m, ref_sum_of_products(m, terms))
+        # a second copy of every term with its sign flipped cancels it
+        assert sum_of_products(m, terms + [(-c, q, p) for c, p, q in terms]).is_zero()
+        for c, p, q in terms:
+            # one term is a product, in __mul__'s key order
+            want = _mul_reference(p, q)
+            assert list(sum_of_products(m, [(1, p, q)])._keys.items()) \
+                == list((p * q)._keys.items()) == list(want._keys.items())
+            # the symmetric half of a square gives the full product's keys in
+            # the full product's order
+            copy = Polynomial(m, dict(p.terms))
+            assert list(p.square()._keys.items()) \
+                == list(_mul_reference(copy, copy)._keys.items())
+
+    def test_zero_polynomial_and_empty_ground_set(self):
+        x = P("y1*y2 - 1/2*y3", 3)
+        zero = Polynomial.zero(3)
+        assert sum_of_products(3, []) == zero
+        assert sum_of_products(3, [(5, zero, x), (2, x, zero), (7, zero, zero)]) == zero
+        assert sum_of_products(3, [(0, x, x)]) == zero
+        three, half = Polynomial.constant(0, 3), Polynomial.constant(0, Fraction(1, 2))
+        assert sum_of_products(0, [(2, three, half), (1, half, half)]) \
+            == Polynomial.constant(0, Fraction(13, 4))
+        assert sum_of_products(0, [(4, half, half), (-1, three, three)]) \
+            == Polynomial.constant(0, -8)
+        assert sum_of_products(0, []) == Polynomial.zero(0)
+
+    def test_int_scaled_halves(self):
+        # -4 * A * C with A holding halves: every coefficient comes out int
+        A = P("1/2*y1 + 3/2*y2", 2)
+        C = P("y1 - y2", 2)
+        r = sum_of_products(2, [(-4, A, C), (1, C, C)])
+        assert r == P("-y1*y1 - 6*y1*y2 + 7*y2*y2", 2)
+        assert all(type(c) is int for c in r.terms.values())
+
+    def test_mixed_ground_sets_raise(self):
+        x3, x2 = P("y1 + y3", 3), P("y1 + y2", 2)
+        for terms in ([(1, x3, x2)], [(1, x2, x3)], [(1, x3, x3), (1, x2, x2)]):
+            with pytest.raises(GroundSetMismatchError):
+                sum_of_products(3, terms)
+        with pytest.raises(GroundSetMismatchError):
+            sum_of_products(2, [(1, x3, x3)])
+
+    def test_exponent_cap(self):
+        y1 = Polynomial.variable(1, 1)
+        high, low = y1 ** 128, y1 ** 127
+        assert sum_of_products(1, [(1, high, low), (1, low, high)]) \
+            == Polynomial(1, {(255,): 2})
+        # checked for every term before any product is formed
+        for terms in ([(1, high, high)], [(1, y1, y1), (1, low, high), (1, high, high)],
+                      [(1, high, y1 ** 128)]):
+            with pytest.raises(ValueError):
+                sum_of_products(1, terms)
+
+
+def test_weighted_square_sum_matches_reference_on_shipped_certificates():
+    paths = sorted(shipped_store_dir().glob("*.cert"))
+    assert len(paths) == 7
+    for path in paths:
+        cert = certificate_from_text(path.read_text())
+        m = cert.ground_size()
+        for size in (m, m + 2):
+            N, D = weighted_square_sum(size, cert.terms)
+            want, want_D = _weighted_square_sum_reference(size, cert.terms)
+            assert D == want_D and N.m == size
+            assert list(N._keys.items()) == list(want._keys.items())
 
 
 # -- eval_rational over the integers against the Fraction loop -----------------

@@ -4,13 +4,18 @@ from itertools import combinations, permutations
 
 import pytest
 
+from hppcheck import certificate
 from hppcheck.catalog import CATALOG_NAMES, entry, uniform
+from hppcheck.certificate import certificate_to_text
 from hppcheck.polynomial import Polynomial, parse_polynomial
-from hppcheck.rayleigh import (discriminant, discriminant_symmetric_form,
-                               quad_decompose, rayleigh_diff,
-                               rayleigh_diff_multiaffine)
+from hppcheck.rayleigh import (_eight_minors, discriminant,
+                               discriminant_symmetric_form, quad_decompose,
+                               rayleigh_diff, rayleigh_diff_multiaffine)
+from hppcheck.sos_search import search_certificate
 
-from conftest import random_multiaffine
+from conftest import (_diff_multiaffine_reference, _diff_reference,
+                      _mul_reference, _sub_reference,
+                      _weighted_square_sum_reference, random_multiaffine)
 
 
 def P(text, m=None):
@@ -200,3 +205,75 @@ class TestDiscriminant:
             for a, b, c in permutations((1, 2, 3)):
                 assert discriminant(Z, a, b, c) == base
             assert discriminant_symmetric_form(Z, 1, 2, 3) == base
+
+
+# -- the product kernel against the products it replaced ------------------------
+#
+# The discriminant forms as they were written on `*` and `-`, run with the
+# reference products of conftest patched in.
+
+def _use_reference_products(monkeypatch):
+    def mul(p, q):
+        if isinstance(q, (int, Fraction)):
+            return p.scalar_mul(q)
+        return _mul_reference(p, q)
+
+    monkeypatch.setattr(Polynomial, "__mul__", mul)
+    monkeypatch.setattr(Polynomial, "__sub__", _sub_reference)
+    monkeypatch.setattr(certificate, "weighted_square_sum",
+                        _weighted_square_sum_reference)
+
+
+def _discriminant_reference(Z, e, f, g):
+    dec = quad_decompose(Z, e, f, g)
+    return dec.B * dec.B - dec.A * dec.C * 4
+
+
+def _symmetric_form_reference(Z, e, f, g):
+    p1, p2, p3, p4, p5, p6, p7, p8 = _eight_minors(Z, e, f, g)
+    q12, q34, q56, q78 = p1 * p2, p3 * p4, p5 * p6, p7 * p8
+    return (
+        q12 * q12 + q34 * q34 + q56 * q56 + q78 * q78
+        - 2 * (q12 * q34) - 2 * (q12 * q56) - 2 * (q34 * q56)
+        - 2 * ((q12 + q34 + q56) * q78)
+        + 4 * (p1 * p3 * p5 * p7) + 4 * (p2 * p4 * p6 * p8)
+    )
+
+
+class TestProductKernelIdentity:
+    def test_difference_forms_keep_keys_and_order(self):
+        # sos_search.build_problem and _integer_zero_kernel read a target's
+        # terms in order
+        for name in CATALOG_NAMES:
+            Z = entry(name).matroid.basis_polynomial()
+            for e, f in combinations(range(1, Z.m + 1), 2):
+                for got, want in ((rayleigh_diff(Z, e, f), _diff_reference(Z, e, f)),
+                                  (rayleigh_diff_multiaffine(Z, e, f),
+                                   _diff_multiaffine_reference(Z, e, f))):
+                    assert list(got._keys.items()) == list(want._keys.items()), \
+                        (name, e, f)
+
+    def test_discriminants_match_reference(self, proposition_corpus, monkeypatch):
+        rng = random.Random(4)
+        cases = list(proposition_corpus)
+        cases += [(Z.scalar_mul(Fraction(2, 3)), e, f, g)
+                  for Z, e, f, g in proposition_corpus[:30]]
+        for name in CATALOG_NAMES:
+            Z = entry(name).matroid.basis_polynomial()
+            cases += [(Z, *rng.sample(range(1, Z.m + 1), 3)) for _ in range(4)]
+        got = [(discriminant(*case), discriminant_symmetric_form(*case))
+               for case in cases]
+        _use_reference_products(monkeypatch)
+        for case, (disc, sym) in zip(cases, got):
+            assert typed_terms(disc) == typed_terms(_discriminant_reference(*case))
+            assert typed_terms(sym) == typed_terms(_symmetric_form_reference(*case))
+
+    @pytest.mark.parametrize("name", ["F7m4", "W3p", "nP_d9"])
+    def test_search_certificates_byte_identical(self, name, monkeypatch):
+        ent = entry(name)
+        Z = ent.matroid.basis_polynomial()
+        cert = search_certificate(rayleigh_diff_multiaffine(Z, *ent.cert_pair))
+        _use_reference_products(monkeypatch)
+        want = search_certificate(_diff_multiaffine_reference(Z, *ent.cert_pair))
+        assert cert is not None
+        assert certificate_to_text(cert) == certificate_to_text(want)
