@@ -11,7 +11,8 @@ count and failed operations, and the traced counts (the per-layer metrics
 whose unit is ``count``).  It also records the checkout's git sha, whether
 its tree had uncommitted changes, and the sha256 of its package sources
 that ``perfbench/run.py`` reports, so a summary of a working tree can be
-matched to the commit that holds the same sources.
+matched to the commit that holds the same sources, and ``source_lines``,
+the net line count of those sources (``wc -l src/hppcheck/*.py``).
 
     python3 scripts/bench_summary.py --parent ../parent --pairs 10 \
         --workload search exact --seeds 41 42 43 44 45 46 47 48 49 50
@@ -64,6 +65,12 @@ def git(root: Path, *args: str) -> str:
                           text=True, check=True).stdout.strip()
 
 
+def source_lines(root: Path) -> int:
+    """The total that ``wc -l src/hppcheck/*.py`` prints: newlines counted."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (root / "src" / "hppcheck").glob("*.py"))
+
+
 def summarise(root: Path, seeds: list[int], seconds: float) -> dict:
     spec = json.loads((root / "BENCHMARK.json").read_text())
     counts = [m["name"] for m in spec["per_layer"] if m["unit"] == "count"]
@@ -93,7 +100,7 @@ def summarise(root: Path, seeds: list[int], seconds: float) -> dict:
         raise RuntimeError("the package sources changed during the runs")
     return {"git_sha": git(root, "rev-parse", "HEAD"),
             "uncommitted_changes": bool(git(root, "status", "--porcelain")),
-            "source_sha256": sources.pop(),
+            "source_sha256": sources.pop(), "source_lines": source_lines(root),
             "seeds": seeds, "seconds": seconds, "workloads": workloads}
 
 

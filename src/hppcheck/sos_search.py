@@ -1,32 +1,28 @@
-"""Numerical search for sum-of-squares certificates, exactly re-verified.
+"""Search for sum-of-squares certificates, exactly verified.
 
-Pipeline: build a Gram-matrix problem over a multiaffine monomial basis,
-run one pass of extrapolated alternating projections between the
-coefficient-matching affine subspace and the PSD cone (Bauschke, Combettes
-& Kruk 2006; round-robin (Brent–Luk) Jacobi rotations, warm-started,
-written here, not a library call) to the first iterate within TOLERANCE
-of the cone, then rationalize on a face.  Each step goes up to
-EXTRAPOLATION_CAP (2) times the plain one: above 2, V8's search loses its
-near-null eigenvector face.  The pass gives up at a stall; no step is
-random, so runs are reproducible.
+A certificate is a PSD Gram matrix G with target == v^T G v over a
+multiaffine monomial basis v (`build_problem`).  At a real zero x of the
+target, v(x)^T G v(x) = 0 forces G v(x) = 0, so every certificate lies on
+the face {B^T H B} of the PSD cone that vanishes on the v(x) of the
+target's integer zeros (partial facial reduction: Borwein & Wolkowicz
+1981; Permenter & Parrilo 2018).  `search_certificate` builds that face
+first, in exact arithmetic, with the coefficient constraints on H reduced
+once.  An empty face or an inconsistent system returns None; constraints
+that pin H leave one exact LDL^T factorization to decide.
 
-There is one rationalization path, `rationalize_and_verify`: restrict the
-float Gram matrix to a face {B^T H B} of the PSD cone, round H once (to
-denominators at most DENOMINATOR_BOUND), project it exactly and
-orthogonally onto the coefficient constraints (Peyrl & Parrilo 2008),
-test positive semidefiniteness with an exact LDL^T factorization under
-symmetric pivoting, and read certificate terms off the factors.  One
-rounding gives up a face whose interior margin is below its 2^-16 error
-but above a finer rounding's; no search so far has met such a face.
-`search_certificate` tries three faces in a fixed order, each built only
-when the one before it fails: the whole space, the kernel given by
-integer zeros of the target, and the kernel spanned by the float
-iterate's near-null eigenvectors.  Exact verification decides every
-candidate (Permenter & Parrilo, partial facial reduction), so the float
-stage cannot leak into a proof.
+Only a face with free unknowns needs float work: one pass of extrapolated
+alternating projections (Bauschke, Combettes & Kruk 2006) between the
+coefficient-matching affine subspace and the PSD cone, with hand-written
+round-robin (Brent–Luk) Jacobi rotations, to the first iterate within
+TOLERANCE of the cone.  It gives up at a stall and draws no random
+numbers.  `rationalize_and_verify` restricts the iterate to the zero face,
+then to its near-null eigenvectors' face, rounds H once (denominators at
+most DENOMINATOR_BOUND, so a face whose margin is below 2^-16 is missed;
+none has been so far), projects it exactly onto the face's solutions
+(Peyrl & Parrilo 2008) and factors it by exact LDL^T.
 
-Failure at any stage returns None; failure to find a certificate says
-nothing about nonexistence.
+Exact verification decides every candidate, so the float stage cannot
+leak into a proof.  A None says nothing about nonexistence.
 """
 
 from __future__ import annotations
@@ -36,7 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm, sqrt
-from typing import Iterator
 
 import numpy as np
 
@@ -383,16 +378,7 @@ def ldlt_psd(A: list[list[Fraction]]) -> tuple[list[int], list[list[Fraction]], 
     return perm, L, D
 
 
-
-
-# -- exact rationalization on a face --------------------------------------------
-#
-# When the target touches zero on real points, every valid Gram matrix is
-# singular there: target(x) = v(x)^T G v(x) = 0 with G PSD forces
-# G v(x) = 0, where v(x) evaluates the basis monomials.  Such kernel
-# vectors, exact or guessed, restrict the search to a face of the PSD cone;
-# on the face a boundary-touching problem has relative interior, which
-# rounds robustly.
+# -- exact faces -----------------------------------------------------------------
 
 
 def _integer_zero_kernel(problem: GramProblem) -> list[list[int]]:
@@ -401,8 +387,10 @@ def _integer_zero_kernel(problem: GramProblem) -> list[list[int]]:
     ZERO_CAP).
 
     The target is evaluated exactly in int64 after clearing denominators.
-    A target whose bound sum |c| * ZERO_BOX^deg could overflow gets no
-    vectors: that loses a face, never soundness.
+    A target over more than 7 support variables (5^7 grid points), or
+    whose bound sum |c| * ZERO_BOX^deg could overflow int64, gets no
+    vectors: its face is then the whole space, which costs speed, never
+    soundness.
     """
     target = problem.target
     support = [v - 1 for v in sorted(target.support_variables())]
@@ -517,16 +505,11 @@ def _nullspace(rows: list[list[Fraction]], n: int) -> list[list[Fraction]]:
     return _free_basis(*_rref(rows), n)
 
 
-def _affine_projection(C: list[list[Fraction]], b: list[Fraction],
-                       x0: list[Fraction]) -> list[Fraction] | None:
-    """The exact Euclidean projection of x0 onto {x : C x = b}; None when
-    the system is inconsistent.
-
-    One RREF of [C | b] gives a particular solution xp (the free variables
-    zero) and a basis N of the nullspace of C, scaled to integer columns.
-    The projection is xp + N z, where z solves (N^T N) z = N^T (x0 - xp),
-    by one more RREF.
-    """
+def _solution_space(C: list[list[Fraction]], b: list[Fraction]
+                    ) -> tuple[list[Fraction], list[list[int]]] | None:
+    """{x : C x = b} as (xp, N), every solution being xp + N z; None when
+    the system is inconsistent.  One RREF of [C | b] gives xp (the free
+    unknowns zero) and N, one integer vector per free unknown."""
     ncols = len(C[0])
     red, pivots = _rref([row + [rhs] for row, rhs in zip(C, b)])
     if pivots and pivots[-1] == ncols:
@@ -534,13 +517,18 @@ def _affine_projection(C: list[list[Fraction]], b: list[Fraction],
     xp = [Fraction(0)] * ncols
     for row, pc in zip(red, pivots):
         xp[pc] = row[-1]
-    # scaling a column of N leaves the projection unchanged
     N = []
     for vec in _free_basis(red, pivots, ncols):
         scale = lcm(*(x.denominator for x in vec))
         N.append([int(x * scale) for x in vec])
-    if not N:
-        return xp
+    return xp, N
+
+
+def _project(xp: list[Fraction], N: list[list[int]],
+             x0: list[Fraction]) -> list[Fraction]:
+    """The exact Euclidean projection of x0 onto {xp + N z}: z solves
+    (N^T N) z = N^T (x0 - xp), by one RREF.  Scaling a vector of N leaves
+    the projection unchanged."""
     support = [[(t, x) for t, x in enumerate(vec) if x] for vec in N]
     normal = [[sum(x * col[t] for t, x in nz) for col in N]
               + [sum(x * (x0[t] - xp[t]) for t, x in nz)]
@@ -554,37 +542,31 @@ def _affine_projection(C: list[list[Fraction]], b: list[Fraction],
     return out
 
 
-def rationalize_and_verify(G: np.ndarray, problem: GramProblem,
-                           kernel: list[list[Fraction]]) -> SosCertificate | None:
-    """Exact rationalization of G on the face of Gram matrices that vanish
-    on the kernel; returns the certificate if it verifies, else None.
+@dataclass
+class Face:
+    """A face {B^T H B} of the PSD cone, rows of B its rational basis, and
+    the coefficient constraints on the upper-triangle `unknowns` of H,
+    reduced once: their solutions are xp + N z.  An empty N pins H."""
+    B: list[list[Fraction]]
+    unknowns: list[tuple[int, int]]
+    xp: list[Fraction]
+    N: list[list[int]]
 
-    Writes G = B^T H B with the rows of B a rational basis of the kernel's
-    orthogonal complement (the whole space for an empty kernel).  The
-    least-squares H is rounded once, to denominators at most
-    DENOMINATOR_BOUND, projected exactly onto the coefficient constraints
-    (consistent by construction), factored by `ldlt_psd`, and its
-    certificate terms read off the factors.
-    """
+
+def build_face(problem: GramProblem, kernel: list[list[Fraction]]) -> Face | None:
+    """The face of Gram matrices that vanish on the kernel (the whole
+    space for an empty kernel), in exact arithmetic.  None when the face
+    holds no Gram matrix of the target: it is empty, or its constraints
+    are inconsistent."""
     n = problem.size
-    B = _nullspace(kernel, n)        # rows: the face basis
+    B = _nullspace(kernel, n)
+    if not B:
+        return None
     r = len(B)
-    if r == 0:
-        return None
-    # rounded float H via least squares: H ~= (B B^T)^{-1} B G B^T (B B^T)^{-1}
-    Bf = np.array([[float(x) for x in row] for row in B], dtype=float).T  # n x r
-    M = Bf.T @ Bf
-    try:
-        Minv = np.linalg.inv(M)
-    except np.linalg.LinAlgError:
-        return None
-    Hf = Minv @ (Bf.T @ np.asarray(G, dtype=float) @ Bf) @ Minv
-    Hf = (Hf + Hf.T) / 2.0
-    # unknowns: upper triangle of H; constraints: for each group, the sum
-    # of (B^T H B)[i][j] over its pairs equals rhs, built from the nonzero
-    # entries of B only
     idx = [(p, q) for p in range(r) for q in range(p, r)]
     unknown = {pq: t for t, pq in enumerate(idx)}
+    # for each group, the sum of (B^T H B)[i][j] over its pairs equals rhs,
+    # built from the nonzero entries of B only
     column = [[(p, B[p][i]) for p in range(r) if B[p][i]] for i in range(n)]
     C: list[list[Fraction]] = []
     b: list[Fraction] = []
@@ -596,13 +578,37 @@ def rationalize_and_verify(G: np.ndarray, problem: GramProblem,
                     row[unknown[min(p, q), max(p, q)]] += x * y
         C.append(row)
         b.append(rhs)
-    x0 = [Fraction(float(Hf[p, q])).limit_denominator(DENOMINATOR_BOUND)
-          for p, q in idx]
-    sol = _affine_projection(C, b, x0)
-    if sol is None:
-        return None
+    space = _solution_space(C, b)
+    return None if space is None else Face(B, idx, *space)
+
+
+def rationalize_and_verify(G: np.ndarray | None, problem: GramProblem,
+                           face: Face) -> SosCertificate | None:
+    """Exact rationalization on a face; returns the certificate if it
+    verifies, else None.
+
+    A face that pins H does not read G.  Otherwise the least-squares H
+    with B^T H B ~= G is rounded once, to denominators at most
+    DENOMINATOR_BOUND, and projected exactly onto the face's solutions.
+    H is factored by `ldlt_psd`, and certificate terms read off the factors.
+    """
+    B = face.B
+    r = len(B)
+    sol = face.xp
+    if face.N:
+        # rounded float H via least squares: H ~= (B B^T)^{-1} B G B^T (B B^T)^{-1}
+        Bf = np.array([[float(x) for x in row] for row in B], dtype=float).T  # n x r
+        try:
+            Minv = np.linalg.inv(Bf.T @ Bf)
+        except np.linalg.LinAlgError:
+            return None
+        Hf = Minv @ (Bf.T @ np.asarray(G, dtype=float) @ Bf) @ Minv
+        Hf = (Hf + Hf.T) / 2.0
+        x0 = [Fraction(float(Hf[p, q])).limit_denominator(DENOMINATOR_BOUND)
+              for p, q in face.unknowns]
+        sol = _project(face.xp, face.N, x0)
     H = [[Fraction(0)] * r for _ in range(r)]
-    for t, (p, q) in enumerate(idx):
+    for t, (p, q) in enumerate(face.unknowns):
         H[p][q] = sol[t]
         H[q][p] = sol[t]
     fact = ldlt_psd(H)
@@ -626,44 +632,32 @@ def rationalize_and_verify(G: np.ndarray, problem: GramProblem,
     return cert if verify(cert, problem.target) else None
 
 
-def _face_kernels(problem: GramProblem, vals: np.ndarray, Q: np.ndarray
-                  ) -> Iterator[list[list[Fraction]]]:
-    """The kernels of the faces to try, in order, each built only when the
-    one before it has failed: the whole space, then the target's integer
-    zeros, then the near-null eigenvectors in (vals, Q).  An empty kernel
-    after the first would repeat the whole space, so it is skipped."""
-    yield []
-    kernel = _integer_zero_kernel(problem)
-    if kernel:
-        yield kernel
-    kernel = _eigenvector_kernel(vals, Q)
-    if kernel:
-        yield kernel
-
-
 def search_certificate(target: Polynomial) -> SosCertificate | None:
     """End-to-end search; returns an exactly verified certificate or None.
 
-    Makes one float pass, `search`, on the problem of `build_problem`: it
-    stops at the first iterate within TOLERANCE of the PSD cone, since the
-    exact face projection only needs a rough starting point.  The iterate,
-    if any, is rationalized by `rationalize_and_verify` on three faces in a
-    fixed order, each built only when the one before it fails:
-      1. the whole space (empty kernel);
-      2. the kernel of the target's integer zeros;
-      3. the kernel of the iterate's near-null eigenvectors.
-    Each face is rounded once, at `DENOMINATOR_BOUND`.
+    Every certificate lies on the face of the target's integer zeros, so
+    `build_face` makes that face first, in exact arithmetic.  An empty
+    face or an inconsistent system returns None; a face that pins H is
+    factored with no float work.  Otherwise one float pass, `search`,
+    runs to the first iterate within TOLERANCE of the PSD cone, which is
+    rationalized on the zero face, then on its near-null eigenvectors'.
     """
     try:
         problem = build_problem(target)
     except GramProblemError:
         return None
+    face = build_face(problem, _integer_zero_kernel(problem))
+    if face is None:
+        return None
+    if not face.N:
+        return rationalize_and_verify(None, problem, face)
     found = search(problem)
     if found is None:
         return None
     G, vals, Q = found
-    for kernel in _face_kernels(problem, vals, Q):
-        cert = rationalize_and_verify(G, problem, kernel)
-        if cert is not None:
-            return cert
-    return None
+    cert = rationalize_and_verify(G, problem, face)
+    if cert is not None:
+        return cert
+    kernel = _eigenvector_kernel(vals, Q)
+    face = build_face(problem, kernel) if kernel else None
+    return None if face is None else rationalize_and_verify(G, problem, face)

@@ -104,3 +104,33 @@ def test_several_workloads_one_row_each(monkeypatch, capsys, tmp_path):
     records = json.loads(out.read_text())
     assert list(records) == ["check", "exact"]
     assert records["exact"]["metrics"]["wall_s"]["change_wins"] == 3
+
+
+def test_source_lines_counts_as_wc(tmp_path):
+    # newlines, as wc -l counts them: a last line without one is not counted
+    package = tmp_path / "src" / "hppcheck"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\n\ny = 2\n")
+    (package / "b.py").write_text("z = 3\nw = 4")
+    (package / "notes.txt").write_text("not a source\n")
+    assert _load().source_lines(tmp_path) == 4
+
+
+def test_summary_records_source_lines(monkeypatch, tmp_path):
+    module = _load()
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    package = tmp_path / "src" / "hppcheck"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("a\nb\nc\n")
+
+    def run_bench(root, workload, seed, seconds, trace):
+        metrics = {m["name"]: 1.0 for m in spec["end_to_end"] + spec["per_layer"]}
+        return ({"source_sha256": "s"},
+                {"correct": True, "failed": 0, "attempted": 1,
+                 "metrics": {k: {"value": v} for k, v in metrics.items()}})
+
+    monkeypatch.setattr(module, "run_bench", run_bench)
+    monkeypatch.setattr(module, "git", lambda root, *args: "")
+    summary = module.summarise(tmp_path, [1], 1.0)
+    assert summary["source_lines"] == 3

@@ -54,17 +54,21 @@ def test_traced_sampler_point_count(monkeypatch):
 
 
 def test_traced_search_factors_each_face_once():
-    # W3p's (1, 2) target certifies on its second face; each face is
-    # rounded and factored once, so there is one ldlt_psd span per face
+    # W3p's (1, 2) target certifies on its zero face, which pins H; V8's
+    # leaves H free, fails there, and certifies on the face of its float
+    # iterate's near-null eigenvectors.  Each face is rounded and factored
+    # once, so there is one ldlt_psd span per face
     tracing, modules = _load()
-    Z = modules["catalog"].resolve_name("W3p").basis_polynomial()
-    target = modules["rayleigh"].rayleigh_diff_multiaffine(Z, 1, 2)
-    tracer = tracing.Tracer()
-    try:
-        tracer.install(modules)
-        assert modules["sos_search"].search_certificate(target) is not None
-    finally:
-        tracer.uninstall()
-    names = [span[0] for span in tracer.spans]
-    assert names.count("rationalize_and_verify") == 2
-    assert names.count("ldlt_psd") == 2
+    for name, faces in (("W3p", 1), ("V8", 2)):
+        Z = modules["catalog"].resolve_name(name).basis_polynomial()
+        target = modules["rayleigh"].rayleigh_diff_multiaffine(Z, 1, 2)
+        tracer = tracing.Tracer()
+        try:
+            tracer.install(modules)
+            assert modules["sos_search"].search_certificate(target) is not None
+        finally:
+            tracer.uninstall()
+        names = [span[0] for span in tracer.spans]
+        assert names.count("rationalize_and_verify") == faces, name
+        assert names.count("ldlt_psd") == faces, name
+        assert ("search" in names) == (faces > 1), name

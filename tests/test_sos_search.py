@@ -7,21 +7,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from hppcheck import sos_search
 from hppcheck.catalog import entry, resolve_name, uniform
-from hppcheck.certificate import certificate_to_text, verify
+from hppcheck.certificate import CertificateStore, certificate_to_text, verify
+from hppcheck.checker import (INCONCLUSIVE, REFUTED, CheckOptions,
+                              StrongRayleighChecker, replay_report)
 from hppcheck.matroid import Matroid
 from hppcheck.polynomial import Polynomial, parse_polynomial
 from hppcheck.rayleigh import rayleigh_diff_multiaffine
 from hppcheck.sos_search import (GramProblemError, UnsuitableTargetError,
-                                 _affine_projection, _extrapolated_step,
-                                 _integer_zero_kernel,
-                                 _nullspace, _project_affine,
+                                 _extrapolated_step, _integer_zero_kernel,
+                                 _nullspace, _project, _project_affine,
                                  _rotation_plan, _round_robin, _rref,
-                                 build_problem, jacobi_eigh, ldlt_psd,
+                                 _solution_space, build_face, build_problem,
+                                 jacobi_eigh, ldlt_psd,
                                  rationalize_and_verify, search,
                                  search_certificate)
 
@@ -428,25 +430,27 @@ class TestJacobiBitIdentity:
         app, aqq, apq = first_pair("minus_inf_diagonal")
         assert (aqq - app) / (2.0 * apq) in (np.inf, -np.inf)
 
+    # `search` itself: `search_certificate` decides these targets on their
+    # zero face with no float iteration
     @pytest.mark.parametrize("name", ["W3p", "nP_d9"])
     def test_same_search(self, name, monkeypatch):
-        target = cert_target(name)
+        problem = build_problem(cert_target(name))
         calls = count_jacobi(monkeypatch)
-        cert = search_certificate(target)
+        got = search(problem)
         monkeypatch.setattr(sos_search, "jacobi_eigh", _jacobi_reference)
         reference = count_jacobi(monkeypatch)
-        want = search_certificate(target)
+        want = search(problem)
         assert calls[0] == reference[0] > 1
-        assert certificate_to_text(cert) == certificate_to_text(want)
+        assert all(_same_bits(a, b) for a, b in zip(got, want))
 
     def test_same_stall(self, monkeypatch):
         Z = Matroid.from_nonbases(7, 3, FANO_LINES).basis_polynomial()
-        target = rayleigh_diff_multiaffine(Z, 1, 2)
+        problem = build_problem(rayleigh_diff_multiaffine(Z, 1, 2))
         calls = count_jacobi(monkeypatch)
-        assert search_certificate(target) is None
+        assert search(problem) is None
         monkeypatch.setattr(sos_search, "jacobi_eigh", _jacobi_reference)
         reference = count_jacobi(monkeypatch)
-        assert search_certificate(target) is None
+        assert search(problem) is None
         assert calls[0] == reference[0] > 1
 
 
@@ -617,8 +621,8 @@ class TestLdlt:
 
     def test_extraction_identity_on_random_psd(self):
         # exact LDL^T acceptance implies the weighted squares resum exactly:
-        # a random rational PSD G is a Gram matrix of y^T G y, so the
-        # whole-space face rounds it back exactly and certifies it with
+        # a random rational PSD G is a Gram matrix of y^T G y, and the
+        # only one: the whole-space face pins H = G and certifies it with
         # one term per nonzero pivot
         rng = random.Random(77)
         m = n = 4
@@ -639,7 +643,9 @@ class TestLdlt:
                 continue     # a zero row drops its variable from the basis
             prob = build_problem(target)
             Gf = np.array([[float(x) for x in row] for row in G])
-            cert = rationalize_and_verify(Gf, prob, [])
+            face = build_face(prob, [])
+            assert not face.N
+            cert = rationalize_and_verify(Gf, prob, face)
             assert cert is not None
             assert verify(cert, target).passed
             assert cert.expand(m) == target
@@ -650,6 +656,12 @@ class TestLdlt:
 
 def _exact(values):
     return all(type(x) in (int, Fraction) for x in values)
+
+
+def _affine_projection(C, b, x0):
+    """The exact projection of x0 onto {C x = b}, through the face API."""
+    space = _solution_space(C, b)
+    return None if space is None else _project(*space, x0)
 
 
 def _projection_by_normal_equations(C, b, x0):
@@ -714,11 +726,12 @@ class TestExactLinearAlgebra:
 
 
 class TestRationalize:
-    # the one rationalization path, on the whole space unless a kernel is given
+    # the one rationalization path, on the whole space unless a kernel is
+    # given; a target over y3, y4 pins H, so the faces below ignore G
     def test_u24_by_hand(self):
         prob = build_problem(P("y3*y3 + y3*y4 + y4*y4", 4))
         G = np.array([[1.0, 0.5], [0.5, 1.0]])
-        cert = rationalize_and_verify(G, prob, [])
+        cert = rationalize_and_verify(G, prob, build_face(prob, []))
         assert cert is not None
         assert cert.terms == (
             (Fraction(1), P("y3 + 1/2*y4", 4)),
@@ -727,7 +740,8 @@ class TestRationalize:
 
     def test_rank_one_exact(self):
         prob = build_problem(P("y3*y3", 3))
-        cert = rationalize_and_verify(np.array([[1.0]]), prob, [])
+        cert = rationalize_and_verify(np.array([[1.0]]), prob,
+                                      build_face(prob, []))
         assert cert is not None
         assert cert.terms == ((Fraction(1), P("y3", 3)),)
 
@@ -735,17 +749,151 @@ class TestRationalize:
         # an affine-feasible but indefinite Gram matrix must be rejected
         prob = build_problem(P("y3*y3 + 4*y3*y4 + y4*y4", 4))
         G = np.array([[1.0, 2.0], [2.0, 1.0]])
-        assert rationalize_and_verify(G, prob, []) is None
+        assert rationalize_and_verify(G, prob, build_face(prob, [])) is None
 
     def test_kernel_face(self):
         # (y3 + y4)^2 has the kernel (1, -1); on its face H is 1 x 1
         prob = build_problem(P("y3*y3 + 2*y3*y4 + y4*y4", 4))
         G = np.array([[1.01, 0.98], [0.98, 1.02]])
-        cert = rationalize_and_verify(G, prob, [[1, -1]])
+        face = build_face(prob, [[1, -1]])
+        assert len(face.B) == 1
+        cert = rationalize_and_verify(G, prob, face)
         assert cert is not None
         assert cert.terms == ((Fraction(1), P("y3 + y4", 4)),)
         # a kernel that spans everything leaves no face
-        assert rationalize_and_verify(G, prob, [[1, 0], [0, 1]]) is None
+        assert build_face(prob, [[1, 0], [0, 1]]) is None
+
+    def test_free_face_rounds_the_iterate(self):
+        # over the basis y1 y2, y1 y3, y2 y3, ... the products y1 y2 * y3 y4,
+        # y1 y3 * y2 y4 and y1 y4 * y2 y3 share a monomial, so the whole
+        # space leaves H free and the rounding reads G
+        pairs = list(combinations(range(1, 5), 2))
+        star = np.eye(len(pairs)) + np.diag([0.5] * 5, 1) + np.diag([0.5] * 5, -1)
+        terms = {}
+        for i, a in enumerate(pairs):
+            for j, b in enumerate(pairs):
+                prod = tuple(x + y for x, y in zip(mono(a, 4), mono(b, 4)))
+                terms[prod] = terms.get(prod, 0) + Fraction(star[i, j])
+        target = Polynomial(4, terms)
+        prob = build_problem(target)
+        face = build_face(prob, [])
+        assert face.N and len(face.B) == 6
+        cert = rationalize_and_verify(star + 1e-7, prob, face)
+        assert cert is not None and verify(cert, target).passed
+        # moving the shared coefficient to y1 y2 * y3 y4 is another Gram
+        # matrix of the same target, and gives another certificate
+        other = star.copy()
+        other[2, 3] = other[3, 2] = 0.0
+        other[0, 5] = other[5, 0] = 0.5
+        moved = rationalize_and_verify(other, prob, face)
+        assert moved is not None and verify(moved, target).passed
+        assert certificate_to_text(moved) != certificate_to_text(cert)
+
+
+def _np_target(pair):
+    return rayleigh_diff_multiaffine(resolve_name("nP").basis_polynomial(), *pair)
+
+
+class TestZeroFace:
+    """`search_certificate` starts on the face of the target's integer
+    zeros, in exact arithmetic: an empty face, an inconsistent system or a
+    pinned H is decided there, with no float iteration."""
+
+    def test_empty_face(self, monkeypatch):
+        # (y3 - y4)(y3 - 2 y4) vanishes on (1, 1) and (2, 1), which span
+        # the space of the basis y3, y4
+        prob = build_problem(P("y3*y3 - 3*y3*y4 + 2*y4*y4", 4))
+        assert _nullspace(_integer_zero_kernel(prob), prob.size) == []
+        calls = count_jacobi(monkeypatch)
+        assert search_certificate(prob.target) is None
+        assert calls[0] == 0
+
+    def test_inconsistent_system(self, monkeypatch):
+        # nP's (1, 4) difference: its zero face is not empty, but no Gram
+        # matrix on it matches the target
+        prob = build_problem(_np_target((1, 4)))
+        kernel = _integer_zero_kernel(prob)
+        assert _nullspace(kernel, prob.size)
+        assert build_face(prob, kernel) is None
+        calls = count_jacobi(monkeypatch)
+        assert search_certificate(prob.target) is None
+        assert calls[0] == 0
+
+    def test_pinned_indefinite(self, monkeypatch):
+        # no integer zeros, so the face is the whole space, and the one
+        # Gram matrix [[1, 2], [2, 1]] is indefinite
+        prob = build_problem(P("y3*y3 + 4*y3*y4 + y4*y4", 4))
+        face = build_face(prob, _integer_zero_kernel(prob))
+        assert face.N == [] and face.xp == [1, 2, 1]
+        calls = count_jacobi(monkeypatch)
+        assert search_certificate(prob.target) is None
+        assert calls[0] == 0
+
+    def test_pinned_psd_certifies(self, monkeypatch):
+        # (y3 + y4)^2 + y5^2 vanishes on (1, -1, 0); its face has two rows
+        target = P("y3*y3 + 2*y3*y4 + y4*y4 + y5*y5", 5)
+        prob = build_problem(target)
+        face = build_face(prob, _integer_zero_kernel(prob))
+        assert len(face.B) == 2 and face.N == []
+        calls = count_jacobi(monkeypatch)
+        cert = search_certificate(target)
+        assert calls[0] == 0
+        assert cert is not None and verify(cert, target).passed
+        assert cert.expand(5) == target
+
+    @given(st.data())
+    def test_planted_zero_always_certifies(self, data):
+        # G = sum of d_k w_k w_k^T over rational w_k orthogonal to an integer
+        # point x, so G is PSD with G x = 0, and x^T G x = 0: the target
+        # y^T G y vanishes at x and always has a certificate
+        n = data.draw(st.integers(2, 5))
+        x = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+                      .filter(any))
+        norm = sum(a * a for a in x)
+        G = [[Fraction(0)] * n for _ in range(n)]
+        for _ in range(data.draw(st.integers(1, n))):
+            w = [Fraction(a, b) for a, b in data.draw(st.lists(
+                st.tuples(st.integers(-3, 3), st.integers(1, 3)),
+                min_size=n, max_size=n))]
+            along = sum(a * b for a, b in zip(w, x)) / norm
+            w = [a - along * b for a, b in zip(w, x)]
+            d = data.draw(st.integers(1, 4))
+            for i in range(n):
+                for j in range(n):
+                    G[i][j] += d * w[i] * w[j]
+        terms = {}
+        for i in range(n):
+            for j in range(n):
+                prod = tuple(a + b for a, b in zip(mono((i + 1,), n),
+                                                   mono((j + 1,), n)))
+                terms[prod] = terms.get(prod, 0) + G[i][j]
+        target = Polynomial(n, {e: c for e, c in terms.items() if c})
+        assume(not target.is_zero())
+        assert target.eval_rational(x) == 0
+        cert = search_certificate(target)
+        assert cert is not None and verify(cert, target).passed
+
+    @pytest.mark.parametrize("refute", [False, True], ids=["plain", "refute"])
+    def test_np_search_runs_no_float_iteration(self, refute, monkeypatch):
+        # every pair of nP is decided on its zero face: INCONCLUSIVE from an
+        # empty store, or REFUTED by an exact point with refute
+        calls = count_jacobi(monkeypatch)
+        M = resolve_name("nP")
+        store = CertificateStore()
+        report = StrongRayleighChecker(
+            store, CheckOptions(search=True, refute=refute)).check(M, name="nP")
+        assert calls[0] == 0
+        assert replay_report(report, M, store)
+        if not refute:
+            assert report.verdict == INCONCLUSIVE
+            return
+        assert report.verdict == REFUTED
+        just = report.justification
+        assert just["kind"] == "counterexample"
+        point = [Fraction(x) for x in just["point"]]
+        value = Fraction(just["value"])
+        assert value < 0
+        assert _np_target(just["pair"]).eval_rational(point) == value
 
 
 class TestEndToEnd:
@@ -756,25 +904,24 @@ class TestEndToEnd:
         assert cert is not None
         assert verify(cert, target).passed
 
-    # from an empty store with default options.  The face each target
-    # certifies on: F7m4 on the whole space (1); W3p, W3pe, P7p, nP_d1
-    # and nP_d9 on the integer-zero face (2); V8 on the near-null
-    # eigenvector face (3).
-    FACE = {"F7m4": 1, "W3p": 2, "W3pe": 2, "P7p": 2, "nP_d1": 2,
-            "nP_d9": 2, "V8": 3}
-    # each target's iterations under the plain step G <- Y; the extrapolated
-    # step takes at most 55 % of them
-    PLAIN_ITERATIONS = {"F7m4": 1, "W3p": 82, "W3pe": 5_021, "P7p": 311,
-                        "nP_d1": 1_965, "nP_d9": 351, "V8": 1_781}
+    # from an empty store with default options.  Each target's zero face
+    # (`_integer_zero_kernel`) has this many basis rows r and free
+    # unknowns: six pin H and certify on it with no float iteration; V8's
+    # leaves 21 unknowns free, and its iterate certifies on the near-null
+    # eigenvector face
+    ZERO_FACE = {"F7m4": (5, 0), "W3p": (4, 0), "W3pe": (6, 0), "P7p": (4, 0),
+                 "nP_d1": (6, 0), "nP_d9": (4, 0), "V8": (14, 21)}
+    # V8's iterations under the plain step G <- Y; the extrapolated step
+    # takes at most 55 % of them
+    PLAIN_ITERATIONS = {"V8": 1_781}
 
     @pytest.mark.parametrize("name", SHIPPED)
     def test_rederives_shipped_targets(self, name, monkeypatch):
-        face = self.FACE[name]
         calls = count_jacobi(monkeypatch)
-        attempts = []
+        faces = []
 
         def counted(*args):
-            attempts.append(args[2])
+            faces.append(args[2])
             return rationalize_and_verify(*args)
 
         monkeypatch.setattr(sos_search, "rationalize_and_verify", counted)
@@ -782,8 +929,12 @@ class TestEndToEnd:
         cert = search_certificate(target)
         assert cert is not None
         assert verify(cert, target).passed
-        assert len(attempts) == face and all(attempts[1:])
-        assert calls[0] <= max(1, 0.55 * self.PLAIN_ITERATIONS[name])
+        assert (len(faces[0].B), len(faces[0].N)) == self.ZERO_FACE[name]
+        if name in self.PLAIN_ITERATIONS:
+            assert len(faces) == 2
+            assert 1 < calls[0] <= 0.55 * self.PLAIN_ITERATIONS[name]
+        else:
+            assert len(faces) == 1 and calls[0] == 0
 
     def test_same_certificate_every_run(self):
         target = cert_target("W3p")
